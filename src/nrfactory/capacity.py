@@ -23,7 +23,7 @@ import numpy as np
 import yaml
 
 from .errors import DomainError, InfeasibleLink
-from .propagation import FactoryScenario
+from .propagation import FactoryScenario, drop_ues
 from .radiolink import (
     BandConfig,
     RadioConfig,
@@ -33,13 +33,7 @@ from .radiolink import (
     sinr_to_se,
     ul_sinr_array,
 )
-from .timing import (
-    AttemptFit,
-    SchedulingConfig,
-    TddPattern,
-    fdd_max_attempts_within_bound,
-    max_attempts_within_bound,
-)
+from .timing import AttemptFit, SchedulingConfig, TddPattern, max_attempts_within_bound
 from .usecases import UseCaseSpec, per_attempt_bler_target
 
 Direction = Literal["DL", "UL"]
@@ -141,8 +135,6 @@ def link_attempts(
     band: BandConfig, sched: SchedulingConfig, direction: Direction, bound_ms: float
 ) -> AttemptFit:
     """Attempts the latency bound allows on this band (position-independent)."""
-    if band.duplex == "FDD":
-        return fdd_max_attempts_within_bound(band.numerology, sched, None, direction, bound_ms)
     return max_attempts_within_bound(
         band.tdd_pattern, band.numerology, sched, None, direction, bound_ms
     )
@@ -266,15 +258,7 @@ def _evaluate_drop(
     model: ResourceModel,
     directions: tuple[Direction, ...],
 ) -> tuple[bool, float, int]:
-    rng_pos = np.random.default_rng([seed, drop, 0])
-    unit = rng_pos.random((n_users, 2))
-    positions = np.column_stack(
-        [
-            unit[:, 0] * scenario.hall.length_m,
-            unit[:, 1] * scenario.hall.width_m,
-            np.full(n_users, scenario.ue_height_m),
-        ]
-    )
+    positions = drop_ues(scenario, n_users, [seed, drop, 0])
     rng_los = np.random.default_rng([seed, drop, 1])
     rng_shadow = np.random.default_rng([seed, drop, 2])
     links = build_links(scenario, radio, positions, rng_los, rng_shadow)

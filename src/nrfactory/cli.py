@@ -27,9 +27,8 @@ from .errors import NrFactoryError, SolverFailure
 from .propagation import default_gnb_layout
 from .radiolink import AasAntenna, DasAntenna, OmniAntenna, sinr_grid
 from .timing import (
+    SchedulingConfig,
     TddPattern,
-    fdd_one_way_latency,
-    fdd_worst_case_alignment,
     max_attempts_within_bound,
     one_way_latency,
     worst_case_alignment,
@@ -89,7 +88,8 @@ def _scenario_from_args(args) -> ScenarioConfig:
         band = dataclasses.replace(band, tdd_pattern=TddPattern.from_string(args.pattern))
     if getattr(args, "tti", None):
         band = dataclasses.replace(band, tti_symbols=args.tti)
-        sched = dataclasses.replace(sched, tti_symbols=args.tti)
+        if sched is not None:
+            sched = dataclasses.replace(sched, tti_symbols=args.tti)
     radio = cfg.radio
     if getattr(args, "antenna", None):
         if args.antenna == "omni":
@@ -149,7 +149,8 @@ def cmd_usecases(args) -> int:
 def cmd_latency(args) -> int:
     cfg = _scenario_from_args(args)
     band = cfg.band
-    sched = cfg.scheduling
+    # no [scheduling] section: SR-based uplink on the band's TTI
+    sched = cfg.scheduling if cfg.scheduling is not None else SchedulingConfig(tti_symbols=band.tti_symbols)
     if args.ul_access:
         sched = dataclasses.replace(sched, ul_access=args.ul_access)
     if args.capability:
@@ -170,18 +171,11 @@ def cmd_latency(args) -> int:
         "directions": {},
     }
     for direction in directions:
-        if band.duplex == "FDD":
-            align = fdd_worst_case_alignment(num, sched, direction)
-            results = [
-                fdd_one_way_latency(num, sched, None, direction, n)
-                for n in range(args.retx + 1)
-            ]
-        else:
-            align = worst_case_alignment(band.tdd_pattern, num, sched, direction)
-            results = [
-                one_way_latency(band.tdd_pattern, num, sched, None, direction, n)
-                for n in range(args.retx + 1)
-            ]
+        align = worst_case_alignment(band.tdd_pattern, num, sched, direction)
+        results = [
+            one_way_latency(band.tdd_pattern, num, sched, None, direction, n)
+            for n in range(args.retx + 1)
+        ]
         entry = {
             "worst_case_alignment_ms": align,
             "t1_ms": results[0].t1_ms,
@@ -190,12 +184,7 @@ def cmd_latency(args) -> int:
             "t_up_ms_by_retx": [r.t_up_ms for r in results],
         }
         if args.bound:
-            if band.duplex == "FDD":
-                from .timing import fdd_max_attempts_within_bound
-
-                fit = fdd_max_attempts_within_bound(num, sched, None, direction, args.bound)
-            else:
-                fit = max_attempts_within_bound(band.tdd_pattern, num, sched, None, direction, args.bound)
+            fit = max_attempts_within_bound(band.tdd_pattern, num, sched, None, direction, args.bound)
             entry["bound_ms"] = args.bound
             entry["initial_fits"] = fit.initial_fits
             entry["max_retx_within_bound"] = fit.n_retx if fit.initial_fits else None
@@ -208,7 +197,6 @@ def cmd_latency(args) -> int:
 def cmd_capacity(args) -> int:
     cfg = _scenario_from_args(args)
     use_case = cfg.use_case if cfg.use_case else find_use_case(args.usecase)
-    sched = capacity_mod.default_scheduling(cfg.band) if not getattr(args, "config", None) else cfg.scheduling
     result = capacity_mod.max_served_users(
         cfg.scenario,
         cfg.band,
@@ -216,7 +204,7 @@ def cmd_capacity(args) -> int:
         use_case,
         n_drops=args.drops,
         seed=args.seed,
-        sched=sched,
+        sched=cfg.scheduling,
         workers=args.workers,
     )
     antenna = cfg.radio.antenna

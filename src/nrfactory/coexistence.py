@@ -14,19 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
 from .errors import DomainError, NumerologyMismatch
 from .timing import SYMBOLS_PER_SLOT, Numerology, TddPattern
-
-
-class InterferenceClass(Enum):
-    NEAR_FAR_DL_DL = "near_far_dl_dl"
-    NEAR_FAR_UL_UL = "near_far_ul_ul"
-    CROSS_LINK_BS_TO_BS = "cross_link_bs_to_bs"   # outdoor DL during indoor UL
-    CROSS_LINK_UE_TO_UE = "cross_link_ue_to_ue"   # outdoor UL during indoor DL
 
 
 @dataclass(frozen=True)

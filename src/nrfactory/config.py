@@ -32,7 +32,7 @@ from .radiolink import (
     UlPowerControl,
 )
 from .timing import SchedulingConfig, TddPattern
-from .usecases import UseCaseSpec, find_use_case
+from .usecases import UseCaseSpec, builtin_use_cases, find_use_case
 
 PRESET_NAMES = ("fdd2100", "tdd3800", "tdd26000")
 
@@ -479,25 +479,27 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
         "gnb_positions_m": [list(p) for p in sc.gnb_positions],
     }
 
-    sched = config.scheduling
-    scheduling_out = {
-        "pdcch_occasions_per_slot": sched.pdcch_occasions_per_slot,
-        "harq_feedback_occasions_per_slot": sched.harq_feedback_occasions_per_slot,
-        "ul_access": sched.ul_access,
-        "ue_capability": sched.ue_capability,
-        "sr_opportunities_per_slot": sched.sr_opportunities_per_slot,
-    }
-    if config.processing_times_file is not None:
-        scheduling_out["processing_times_file"] = config.processing_times_file
-
     out: dict[str, Any] = {
         "scenario": scenario_out,
         "band": band_out,
         "radio": radio_out,
-        "scheduling": scheduling_out,
     }
-    if config.use_case is not None:
-        uc = config.use_case
+    sched = config.scheduling
+    if sched is not None:
+        out["scheduling"] = {
+            "pdcch_occasions_per_slot": sched.pdcch_occasions_per_slot,
+            "harq_feedback_occasions_per_slot": sched.harq_feedback_occasions_per_slot,
+            "ul_access": sched.ul_access,
+            "ue_capability": sched.ue_capability,
+            "sr_opportunities_per_slot": sched.sr_opportunities_per_slot,
+        }
+        if config.processing_times_file is not None:
+            out["scheduling"]["processing_times_file"] = config.processing_times_file
+    uc = config.use_case
+    if uc is not None and uc in builtin_use_cases():
+        # by name: catalogue rows carry ranges that no inline key holds
+        out["usecase"] = {"name": uc.name}
+    elif uc is not None:
         out["usecase"] = {
             "name": uc.name,
             "message_size_bytes": uc.message_size_bytes,

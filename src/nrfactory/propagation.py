@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Literal, Optional, Sequence
+from typing import Literal, Optional, Sequence, Union
 
 import numpy as np
 import yaml
@@ -123,17 +123,6 @@ def default_gnb_layout(n: int, hall: Hall, height_m: float = 8.0):
     return gnb_grid(n // cols, cols, height_m, hall)
 
 
-@dataclass(frozen=True)
-class LinkSample:
-    """Large-scale state of one gNB-UE link."""
-
-    d2d_m: float
-    d3d_m: float
-    los: bool
-    pathloss_db: float
-    shadow_db: float
-
-
 def los_decay_constant_m(scenario: FactoryScenario, bs_height_m: float) -> float:
     """Decay constant k of the exponential LOS-probability model.
 
@@ -208,8 +197,9 @@ def shadow_sigma_db(scenario_type: ScenarioType, los: bool) -> float:
     return float(_PL_COEFFS["nlos"][scenario_type]["shadow_sigma_db"])
 
 
-def drop_ues(scenario: FactoryScenario, n: int, seed: int) -> np.ndarray:
-    """n uniform UE positions at UE height; deterministic for a fixed seed.
+def drop_ues(scenario: FactoryScenario, n: int, seed: Union[int, Sequence[int]]) -> np.ndarray:
+    """n uniform UE positions at UE height; deterministic for a fixed seed
+    (an int or a sequence of ints, as ``np.random.default_rng`` takes).
 
     Draws are consumed user by user, so the first n positions of a larger
     drop with the same seed are identical (nested drops keep load sweeps
@@ -238,24 +228,6 @@ def link_distances(
     d2d = np.hypot(dx, dy)
     d3d = np.sqrt(d2d**2 + dz**2)
     return d2d, d3d
-
-
-def sample_link(
-    scenario: FactoryScenario,
-    gnb: Sequence[float],
-    ue: Sequence[float],
-    rng: np.random.Generator,
-) -> LinkSample:
-    """Draw LOS state and shadowing for one link and evaluate its pathloss."""
-    gx, gy, gz = gnb
-    ux, uy, uz = ue
-    d2d = math.hypot(gx - ux, gy - uy)
-    d3d = math.sqrt((gx - ux) ** 2 + (gy - uy) ** 2 + (gz - uz) ** 2)
-    p_los = los_probability(scenario, d2d, bs_height_m=gz)
-    los = bool(rng.random() < p_los)
-    pl = pathloss(scenario.scenario_type, los, max(d3d, 1.0), scenario.carrier_ghz)
-    shadow = float(rng.normal(0.0, shadow_sigma_db(scenario.scenario_type, los)))
-    return LinkSample(d2d_m=d2d, d3d_m=d3d, los=los, pathloss_db=pl, shadow_db=shadow)
 
 
 @dataclass(frozen=True)

@@ -252,6 +252,17 @@ def _db_to_lin(x):
     return 10.0 ** (np.asarray(x, dtype=float) / 10.0)
 
 
+def _noise_lin(band: BandConfig, nf_db: float) -> float:
+    return float(_db_to_lin(thermal_noise_dbm(band.bandwidth_mhz * 1e6) + nf_db))
+
+
+def _ul_tx_dbm(eff_serv: np.ndarray, radio: RadioConfig, band: BandConfig) -> np.ndarray:
+    """Per-UE transmit power under open-loop control toward its serving cell."""
+    return np.array(
+        [ul_tx_power(max(float(c), 1e-6), radio, band.bandwidth_mhz * 1e6) for c in eff_serv]
+    )
+
+
 def dl_sinr_array(
     links: SnapshotLinks,
     radio: RadioConfig,
@@ -259,8 +270,7 @@ def dl_sinr_array(
     activity: Union[float, np.ndarray],
 ) -> np.ndarray:
     """Per-UE downlink SINR in dB given per-cell interferer activity."""
-    noise_dbm = thermal_noise_dbm(band.bandwidth_mhz * 1e6) + radio.ue_nf_db
-    noise = float(_db_to_lin(noise_dbm))
+    noise = _noise_lin(band, radio.ue_nf_db)
     coupling = links.coupling_db
     n_ue, n_gnb = coupling.shape
 
@@ -305,15 +315,12 @@ def ul_sinr_array(
     cells' UEs; ``interferer_weights`` gives each UE's share of its own
     cell's resources (uniform by default).
     """
-    noise_dbm = thermal_noise_dbm(band.bandwidth_mhz * 1e6) + radio.gnb_nf_db
-    noise = float(_db_to_lin(noise_dbm))
+    noise = _noise_lin(band, radio.gnb_nf_db)
     coupling = links.coupling_db
     n_ue, n_gnb = coupling.shape
 
     eff_serv = ul_effective_coupling_db(links, radio)
-    p_tx = np.array(
-        [ul_tx_power(max(float(c), 1e-6), radio, band.bandwidth_mhz * 1e6) for c in eff_serv]
-    )
+    p_tx = _ul_tx_dbm(eff_serv, radio, band)
     signal = _db_to_lin(p_tx - eff_serv)
 
     if links.is_das:
@@ -343,16 +350,50 @@ def ul_sinr_array(
     return 10.0 * np.log10(signal / (interference + noise))
 
 
-def _single_point_links(
-    ue: Sequence[float],
+def sinr_at_points(
+    points: np.ndarray,
     scenario: FactoryScenario,
+    band: BandConfig,
     radio: RadioConfig,
-    extra_positions: Optional[np.ndarray] = None,
-) -> SnapshotLinks:
-    pts = np.asarray([ue], dtype=float)
-    if extra_positions is not None and len(extra_positions):
-        pts = np.vstack([pts, extra_positions])
-    return build_links(scenario, radio, pts)
+    direction: Direction,
+    activity: float = 1.0,
+) -> np.ndarray:
+    """(N,) SINR in dB at N points with median shadowing and LOS.
+
+    Every cell is loaded at ``activity``.  Uplink interference comes from
+    one representative UE at UE height under each gNB (the capacity engine
+    replaces them with the actual dropped users); each point ignores the
+    representatives attached to its own serving cell.  The points and the
+    representatives share one ``build_links`` call, and each point's value
+    is bit-identical to evaluating that point alone.
+    """
+    if not 0.0 <= activity <= 1.0:
+        raise DomainError("interferer activity must be in [0, 1]")
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    if direction == "DL":
+        return dl_sinr_array(build_links(scenario, radio, points), radio, band, activity)
+    if not scenario.gnb_positions:
+        raise NoGnb("scenario defines no gNBs")
+    reps = np.array(
+        [(g[0], g[1], scenario.ue_height_m) for g in scenario.gnb_positions], dtype=float
+    )
+    n = len(points)
+    links = build_links(scenario, radio, np.vstack([points, reps]))
+    eff_serv = ul_effective_coupling_db(links, radio)
+    p_tx = _ul_tx_dbm(eff_serv, radio, band)
+    gain_interf = gnb_antenna_gain_db(radio.antenna, False)
+    rx = _db_to_lin(p_tx[:, None] - (links.coupling_db - gain_interf - radio.ue_gain_dbi))
+    cell, rep_cell = links.serving[:n], links.serving[n:]
+    # weights as ul_sinr_array gives them: a cell's activity shared by its UEs
+    rep_w = activity / np.bincount(rep_cell)[rep_cell]
+    # ul_sinr_array's sum order: the point's own term, then the other cells'
+    # representatives in order, then the own term taken off again
+    own = rx[np.arange(n), cell] * activity
+    total = own
+    for r in range(len(reps)):
+        total = total + np.where(rep_cell[r] != cell, rx[n + r, cell] * rep_w[r], 0.0)
+    signal = _db_to_lin(p_tx[:n] - eff_serv[:n])
+    return 10.0 * np.log10(signal / ((total - own) + _noise_lin(band, radio.gnb_nf_db)))
 
 
 def dl_sinr(
@@ -363,9 +404,7 @@ def dl_sinr(
     interferer_activity: float = 1.0,
 ) -> float:
     """Downlink SINR at one point, median shadowing and LOS."""
-    _check_activity(interferer_activity)
-    links = _single_point_links(ue, scenario, radio)
-    return float(dl_sinr_array(links, radio, band, interferer_activity)[0])
+    return float(sinr_at_points([ue], scenario, band, radio, "DL", interferer_activity)[0])
 
 
 def ul_sinr(
@@ -375,33 +414,8 @@ def ul_sinr(
     radio: RadioConfig,
     interferer_activity: float = 1.0,
 ) -> float:
-    """Uplink SINR at one point with one representative interferer per cell.
-
-    Representative interferers sit at UE height under each non-serving gNB;
-    the capacity engine replaces them with the actual dropped users.
-    """
-    _check_activity(interferer_activity)
-    if not scenario.gnb_positions:
-        raise NoGnb("scenario defines no gNBs")
-    others = np.array(
-        [(g[0], g[1], scenario.ue_height_m) for g in scenario.gnb_positions], dtype=float
-    )
-    links = _single_point_links(ue, scenario, radio, extra_positions=others)
-    # drop the representative co-attached to the probe's serving cell
-    keep = [0] + [
-        1 + i for i in range(len(others)) if links.serving[1 + i] != links.serving[0]
-    ]
-    trimmed = SnapshotLinks(
-        coupling_db=links.coupling_db[keep],
-        serving=links.serving[keep],
-        is_das=links.is_das,
-    )
-    return float(ul_sinr_array(trimmed, radio, band, interferer_activity)[0])
-
-
-def _check_activity(activity: float) -> None:
-    if not 0.0 <= activity <= 1.0:
-        raise DomainError("interferer activity must be in [0, 1]")
+    """Uplink SINR at one point with one representative interferer per cell."""
+    return float(sinr_at_points([ue], scenario, band, radio, "UL", interferer_activity)[0])
 
 
 @dataclass(frozen=True)
@@ -434,19 +448,11 @@ def sinr_grid(
     """SINR evaluated on a regular grid with median shadowing."""
     if resolution_m <= 0:
         raise DomainError("resolution must be positive")
-    _check_activity(activity)
     nx = math.ceil(scenario.hall.length_m / resolution_m)
     ny = math.ceil(scenario.hall.width_m / resolution_m)
-    grid = np.empty((nx, ny))
-    for ix in range(nx):
-        for iy in range(ny):
-            point = (
-                min((ix + 0.5) * resolution_m, scenario.hall.length_m),
-                min((iy + 0.5) * resolution_m, scenario.hall.width_m),
-                scenario.ue_height_m,
-            )
-            if direction == "DL":
-                grid[ix, iy] = dl_sinr(point, scenario, band, radio, activity)
-            else:
-                grid[ix, iy] = ul_sinr(point, scenario, band, radio, activity)
+    xs = np.minimum((np.arange(nx) + 0.5) * resolution_m, scenario.hall.length_m)
+    ys = np.minimum((np.arange(ny) + 0.5) * resolution_m, scenario.hall.width_m)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    points = np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, scenario.ue_height_m)])
+    grid = sinr_at_points(points, scenario, band, radio, direction, activity).reshape(nx, ny)
     return SinrMap(grid=grid, resolution_m=resolution_m, direction=direction)

@@ -1,4 +1,4 @@
-"""NR numerology, TDD slot timelines and worst-case air-interface latency.
+"""NR numerology, slot timelines and worst-case air-interface latency.
 
 The one-way user-plane latency is composed from the TR 37.910 delay
 components: transmitter processing, frame alignment, on-air transmission
@@ -10,6 +10,11 @@ forward leg plus the reverse (feedback/grant) leg, so
 with n the number of retransmissions.  Alignment delays are evaluated at
 the packet arrival offset that is worst for the scheduler, at OFDM-symbol
 granularity; queuing/contention is deliberately not modeled.
+
+A TDD band is one slot timeline shared by both directions.  An FDD band is
+passed as ``pattern=None`` and runs through the same occasion search, with
+downlink occasions on an all-D timeline and uplink occasions on an all-U
+timeline (``FDD_DL_PATTERN`` / ``FDD_UL_PATTERN``).
 """
 
 from __future__ import annotations
@@ -54,11 +59,6 @@ class Numerology:
     @property
     def symbols_per_slot(self) -> int:
         return SYMBOLS_PER_SLOT
-
-
-def slot_duration(numerology: Numerology) -> float:
-    """Slot duration in ms (1 ms at 15 kHz, halving per numerology step)."""
-    return numerology.slot_duration_ms
 
 
 @dataclass(frozen=True)
@@ -117,6 +117,18 @@ class TddPattern:
 
     def symbols_in_direction(self, direction: Direction) -> int:
         return self.symbol_roles().count("D" if direction == "DL" else "U")
+
+
+FDD_DL_PATTERN = TddPattern(("D",))
+FDD_UL_PATTERN = TddPattern(("U",))
+
+
+def _timeline(pattern: Optional[TddPattern], direction: Direction) -> TddPattern:
+    """Slot timeline carrying ``direction``: the TDD pattern, or on an FDD
+    band (``pattern`` None) the all-D or all-U carrier of that direction."""
+    if pattern is not None:
+        return pattern
+    return FDD_DL_PATTERN if direction == "DL" else FDD_UL_PATTERN
 
 
 def _load_default_processing_table() -> dict[tuple[str, str, int], float]:
@@ -300,13 +312,8 @@ def _next_start(starts: list[int], period: int, t: float) -> float:
     return (base + 1) * period + starts[0]
 
 
-def _sr_chain_from_starts(
-    sr_starts: list[int],
-    pdcch_starts: list[int],
-    data_starts: list[int],
-    period: int,
-    bs_proc: float,
-    ue_proc: float,
+def _sr_chain_alignment_symbols(
+    pattern: Optional[TddPattern], config: SchedulingConfig, scs_khz: int
 ) -> float:
     """Worst-case symbols from UL data arrival to PUSCH start, SR-based.
 
@@ -316,35 +323,27 @@ def _sr_chain_from_starts(
     preparation inside the chain is the budget's t_ue_tx, so callers must
     not add it again.
     """
+    proc = config.processing_symbols("pusch", scs_khz)
+    dl, ul = _timeline(pattern, "DL"), _timeline(pattern, "UL")
+    sr_starts = sr_opportunity_starts(ul, config.sr_opportunities_per_slot)
+    pdcch_starts = transmission_starts(dl, "DL", config.pdcch_occasions_per_slot, 1)
+    data_starts = transmission_starts(ul, "UL", config.pdcch_occasions_per_slot, config.tti_symbols)
     if not sr_starts or not pdcch_starts or not data_starts:
         raise NoUsableSlot("pattern cannot carry the SR-based uplink procedure")
+    period = ul.period_symbols
     worst = 0.0
     for offset in range(period):
         t = _next_start(sr_starts, period, float(offset))
-        t += 1.0 + bs_proc
+        t += 1.0 + proc
         t = _next_start(pdcch_starts, period, t)
-        t += 1.0 + ue_proc
+        t += 1.0 + proc
         t = _next_start(data_starts, period, t)
         worst = max(worst, t - offset)
     return worst
 
 
-def _sr_chain_alignment_symbols(
-    pattern: TddPattern, config: SchedulingConfig, scs_khz: int
-) -> float:
-    proc = config.processing_symbols("pusch", scs_khz)
-    return _sr_chain_from_starts(
-        sr_opportunity_starts(pattern, config.sr_opportunities_per_slot),
-        transmission_starts(pattern, "DL", config.pdcch_occasions_per_slot, 1),
-        transmission_starts(pattern, "UL", config.pdcch_occasions_per_slot, config.tti_symbols),
-        pattern.period_symbols,
-        bs_proc=proc,
-        ue_proc=proc,
-    )
-
-
 def worst_case_alignment(
-    pattern: TddPattern,
+    pattern: Optional[TddPattern],
     numerology: Numerology,
     config: SchedulingConfig,
     direction: Direction,
@@ -355,17 +354,19 @@ def worst_case_alignment(
     symbol-granularity arrival offset to the next usable data occasion.
     SR-based UL returns the full worst-case SR round trip up to the PUSCH
     start (SR wait, grant wait and the decode times in between).
+    ``pattern`` None is an FDD band.
     """
     if direction == "UL" and config.ul_access == "sr_based":
         symbols = _sr_chain_alignment_symbols(pattern, config, numerology.scs_khz)
     else:
-        starts = transmission_starts(pattern, direction, config.pdcch_occasions_per_slot, config.tti_symbols)
-        symbols = float(_max_wait_symbols(starts, pattern.period_symbols))
+        timeline = _timeline(pattern, direction)
+        starts = transmission_starts(timeline, direction, config.pdcch_occasions_per_slot, config.tti_symbols)
+        symbols = float(_max_wait_symbols(starts, timeline.period_symbols))
     return symbols * numerology.symbol_duration_ms
 
 
 def _control_alignment_ms(
-    pattern: TddPattern,
+    pattern: Optional[TddPattern],
     numerology: Numerology,
     config: SchedulingConfig,
     direction: Direction,
@@ -376,8 +377,9 @@ def _control_alignment_ms(
         if direction == "DL"
         else config.harq_feedback_occasions_per_slot
     )
-    starts = transmission_starts(pattern, direction, per_slot, 1)
-    return _max_wait_symbols(starts, pattern.period_symbols) * numerology.symbol_duration_ms
+    timeline = _timeline(pattern, direction)
+    starts = transmission_starts(timeline, direction, per_slot, 1)
+    return _max_wait_symbols(starts, timeline.period_symbols) * numerology.symbol_duration_ms
 
 
 def default_budget(
@@ -407,28 +409,8 @@ def default_budget(
     )
 
 
-def _compose_legs(
-    direction: Direction,
-    config: SchedulingConfig,
-    budget: LatencyBudget,
-    fa_data: float,
-    fa_ctrl: float,
-    n_retx: int,
-) -> LatencyResult:
-    if direction == "DL":
-        t1 = budget.t_bs_tx + fa_data + budget.t_dl_duration + budget.t_ue_rx
-        t2 = budget.t_ue_tx + fa_ctrl + budget.t_ul_duration + budget.t_bs_rx
-    else:
-        if config.ul_access == "sr_based":
-            t1 = fa_data + budget.t_ul_duration + budget.t_bs_rx
-        else:
-            t1 = budget.t_ue_tx + fa_data + budget.t_ul_duration + budget.t_bs_rx
-        t2 = budget.t_bs_tx + fa_ctrl + budget.t_dl_duration + budget.t_ue_rx
-    return LatencyResult(t1_ms=t1, t2_ms=t2, n_retx=n_retx)
-
-
 def one_way_latency(
-    pattern: TddPattern,
+    pattern: Optional[TddPattern],
     numerology: Numerology,
     config: SchedulingConfig,
     budget: Optional[LatencyBudget],
@@ -441,6 +423,7 @@ def one_way_latency(
     leg t2 = t_ue_tx + t_fa_ul + t_ul_duration + t_bs_rx; UL is mirrored.
     For SR-based UL the alignment already contains the UE grant-decode /
     PUSCH-preparation time, so t1 omits the separate t_ue_tx term.
+    ``pattern`` None is an FDD band.
     """
     if n_retx < 0:
         raise DomainError("n_retx must be >= 0")
@@ -454,6 +437,8 @@ def one_way_latency(
             fa_data = worst_case_alignment(pattern, numerology, config, "DL")
         if fa_ctrl is None:
             fa_ctrl = _control_alignment_ms(pattern, numerology, config, "UL")
+        t1 = budget.t_bs_tx + fa_data + budget.t_dl_duration + budget.t_ue_rx
+        t2 = budget.t_ue_tx + fa_ctrl + budget.t_ul_duration + budget.t_bs_rx
     else:
         fa_data = budget.t_fa_ul
         fa_ctrl = budget.t_fa_dl
@@ -461,63 +446,12 @@ def one_way_latency(
             fa_data = worst_case_alignment(pattern, numerology, config, "UL")
         if fa_ctrl is None:
             fa_ctrl = _control_alignment_ms(pattern, numerology, config, "DL")
-    return _compose_legs(direction, config, budget, fa_data, fa_ctrl, n_retx)
-
-
-FDD_DL_PATTERN = TddPattern(("D",))
-FDD_UL_PATTERN = TddPattern(("U",))
-
-
-def fdd_worst_case_alignment(
-    numerology: Numerology, config: SchedulingConfig, direction: Direction
-) -> float:
-    """Worst-case alignment on an FDD carrier pair (continuous D and U)."""
-    if direction == "DL":
-        starts = transmission_starts(FDD_DL_PATTERN, "DL", config.pdcch_occasions_per_slot, config.tti_symbols)
-        symbols = float(_max_wait_symbols(starts, SYMBOLS_PER_SLOT))
-    elif config.ul_access == "configured_grant":
-        starts = transmission_starts(FDD_UL_PATTERN, "UL", config.pdcch_occasions_per_slot, config.tti_symbols)
-        symbols = float(_max_wait_symbols(starts, SYMBOLS_PER_SLOT))
-    else:
-        proc = config.processing_symbols("pusch", numerology.scs_khz)
-        symbols = _sr_chain_from_starts(
-            sr_opportunity_starts(FDD_UL_PATTERN, config.sr_opportunities_per_slot),
-            transmission_starts(FDD_DL_PATTERN, "DL", config.pdcch_occasions_per_slot, 1),
-            transmission_starts(FDD_UL_PATTERN, "UL", config.pdcch_occasions_per_slot, config.tti_symbols),
-            SYMBOLS_PER_SLOT,
-            bs_proc=proc,
-            ue_proc=proc,
-        )
-    return symbols * numerology.symbol_duration_ms
-
-
-def fdd_one_way_latency(
-    numerology: Numerology,
-    config: SchedulingConfig,
-    budget: Optional[LatencyBudget],
-    direction: Direction,
-    n_retx: int = 0,
-) -> LatencyResult:
-    """Worst-case one-way latency on an FDD band (paired carriers)."""
-    if n_retx < 0:
-        raise DomainError("n_retx must be >= 0")
-    if budget is None:
-        budget = default_budget(numerology, config, direction)
-    if direction == "DL":
-        fa_data = budget.t_fa_dl
-        fa_ctrl = budget.t_fa_ul
-        if fa_data is None:
-            fa_data = fdd_worst_case_alignment(numerology, config, "DL")
-        if fa_ctrl is None:
-            fa_ctrl = _control_alignment_ms(FDD_UL_PATTERN, numerology, config, "UL")
-    else:
-        fa_data = budget.t_fa_ul
-        fa_ctrl = budget.t_fa_dl
-        if fa_data is None:
-            fa_data = fdd_worst_case_alignment(numerology, config, "UL")
-        if fa_ctrl is None:
-            fa_ctrl = _control_alignment_ms(FDD_DL_PATTERN, numerology, config, "DL")
-    return _compose_legs(direction, config, budget, fa_data, fa_ctrl, n_retx)
+        if config.ul_access == "sr_based":
+            t1 = fa_data + budget.t_ul_duration + budget.t_bs_rx
+        else:
+            t1 = budget.t_ue_tx + fa_data + budget.t_ul_duration + budget.t_bs_rx
+        t2 = budget.t_bs_tx + fa_ctrl + budget.t_dl_duration + budget.t_ue_rx
+    return LatencyResult(t1_ms=t1, t2_ms=t2, n_retx=n_retx)
 
 
 @dataclass(frozen=True)
@@ -532,20 +466,8 @@ class AttemptFit:
         return self.n_retx + 1 if self.initial_fits else 0
 
 
-def _attempt_fit(first: LatencyResult, bound_ms: float) -> AttemptFit:
-    if bound_ms <= 0:
-        raise DomainError("bound_ms must be > 0")
-    eps = 1e-9 * max(1.0, bound_ms)
-    if first.t1_ms > bound_ms + eps:
-        return AttemptFit(n_retx=0, initial_fits=False)
-    if first.t_harq_ms <= 0:
-        raise DomainError("non-positive HARQ round-trip time")
-    n = int(math.floor((bound_ms - first.t1_ms) / first.t_harq_ms + 1e-9))
-    return AttemptFit(n_retx=max(n, 0), initial_fits=True)
-
-
 def max_attempts_within_bound(
-    pattern: TddPattern,
+    pattern: Optional[TddPattern],
     numerology: Numerology,
     config: SchedulingConfig,
     budget: Optional[LatencyBudget],
@@ -556,20 +478,13 @@ def max_attempts_within_bound(
     if bound_ms <= 0:
         raise DomainError("bound_ms must be > 0")
     first = one_way_latency(pattern, numerology, config, budget, direction, 0)
-    return _attempt_fit(first, bound_ms)
-
-
-def fdd_max_attempts_within_bound(
-    numerology: Numerology,
-    config: SchedulingConfig,
-    budget: Optional[LatencyBudget],
-    direction: Direction,
-    bound_ms: float,
-) -> AttemptFit:
-    if bound_ms <= 0:
-        raise DomainError("bound_ms must be > 0")
-    first = fdd_one_way_latency(numerology, config, budget, direction, 0)
-    return _attempt_fit(first, bound_ms)
+    eps = 1e-9 * max(1.0, bound_ms)
+    if first.t1_ms > bound_ms + eps:
+        return AttemptFit(n_retx=0, initial_fits=False)
+    if first.t_harq_ms <= 0:
+        raise DomainError("non-positive HARQ round-trip time")
+    n = int(math.floor((bound_ms - first.t1_ms) / first.t_harq_ms + 1e-9))
+    return AttemptFit(n_retx=max(n, 0), initial_fits=True)
 
 
 def handover_interruption_budget(

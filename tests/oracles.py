@@ -69,7 +69,7 @@ def scan_sr(roles, t: float) -> int:
 
 
 def alignment_oracle_symbols(
-    pattern_str: str,
+    pattern_str,
     split,
     direction: str,
     tti: int,
@@ -77,13 +77,20 @@ def alignment_oracle_symbols(
     ul_access: str,
     proc_pusch_symbols: float,
 ) -> float:
-    """Worst wait over all integer arrival offsets, by forward simulation."""
-    roles = roles_of(pattern_str, split)
-    period = len(roles)
+    """Worst wait over all integer arrival offsets, by forward simulation.
+
+    ``pattern_str`` None is an FDD carrier pair: DL and PDCCH occasions are
+    scanned on an all-D slot, SR and UL occasions on an all-U slot.
+    """
+    if pattern_str is None:
+        dl_roles, ul_roles = ["D"] * SYM, ["U"] * SYM
+    else:
+        dl_roles = ul_roles = roles_of(pattern_str, split)
+    period = len(dl_roles)
     offsets = occasion_offsets(pdcch_per_slot)
 
     if direction == "DL" or ul_access == "configured_grant":
-        want = "D" if direction == "DL" else "U"
+        roles, want = (dl_roles, "D") if direction == "DL" else (ul_roles, "U")
         worst = 0
         for o in range(period):
             worst = max(worst, scan_data_start(roles, offsets, want, tti, o) - o)
@@ -91,11 +98,11 @@ def alignment_oracle_symbols(
 
     worst = 0.0
     for o in range(period):
-        t = float(scan_sr(roles, float(o)))
+        t = float(scan_sr(ul_roles, float(o)))
         t += 1.0 + proc_pusch_symbols
-        t = float(scan_data_start(roles, offsets, "D", 1, t))
+        t = float(scan_data_start(dl_roles, offsets, "D", 1, t))
         t += 1.0 + proc_pusch_symbols
-        t = float(scan_data_start(roles, offsets, "U", tti, t))
+        t = float(scan_data_start(ul_roles, offsets, "U", tti, t))
         worst = max(worst, t - o)
     return worst
 

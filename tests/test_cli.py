@@ -155,6 +155,20 @@ class TestExclusionCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("preset", ["fdd2100", "tdd3800", "tdd26000"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["latency", "--bound", "5"],
+        ["capacity", "--tti", "7", "--drops", "1", "--gnbs", "3", "--seed", "1"],
+        ["sinr-map", "--gnbs", "3", "--resolution", "10"],
+    ],
+    ids=["latency", "capacity", "sinr-map"],
+)
+def test_command_runs_on_every_preset(preset, argv, tmp_path):
+    assert run(argv + ["--preset", preset, "-o", str(tmp_path / "out")]) == 0
+
+
 class TestTopLevel:
     def test_unknown_subcommand_exits_one(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -1,7 +1,10 @@
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrfactory.config import (
+    PRESET_NAMES,
     load_preset,
     load_scenario,
     preset_checksum,
@@ -10,6 +13,7 @@ from nrfactory.config import (
 )
 from nrfactory.errors import ParseError, UnknownKey, ValidationError
 from nrfactory.radiolink import AasAntenna, OmniAntenna
+from nrfactory.usecases import builtin_use_cases
 
 FULL_FILE = """
 scenario:
@@ -178,6 +182,36 @@ class TestRoundTrip:
         save_scenario(cfg, out)
         cfg2 = load_scenario(out)
         assert cfg2.scenario.gnb_positions == cfg.scenario.gnb_positions
+
+
+@st.composite
+def scenario_sources(draw) -> dict:
+    """A preset, its TDD pattern, an antenna, and optional scheduling and use case."""
+    preset = draw(st.sampled_from(PRESET_NAMES))
+    band = {"preset": preset}
+    if load_preset(preset)["band"]["duplex"] == "TDD":
+        band["tdd_pattern"] = draw(st.text(alphabet="DSU", min_size=1, max_size=10))
+    source = {"band": band, "radio": {"antenna": draw(st.sampled_from(["omni", "das", "aas"]))}}
+    scheduling = draw(st.none() | st.fixed_dictionaries({}, optional={
+        "pdcch_occasions_per_slot": st.integers(1, 14),
+        "harq_feedback_occasions_per_slot": st.integers(1, 14),
+        "ul_access": st.sampled_from(["sr_based", "configured_grant"]),
+        "ue_capability": st.sampled_from(["cap1", "cap2"]),
+        "sr_opportunities_per_slot": st.integers(1, 14),
+    }))
+    if scheduling is not None:
+        source["scheduling"] = scheduling
+    use_case = draw(st.none() | st.sampled_from([c.name for c in builtin_use_cases()]))
+    if use_case is not None:
+        source["usecase"] = {"name": use_case}
+    return source
+
+
+@settings(derandomize=True, deadline=None)
+@given(scenario_sources())
+def test_round_trip_property(source):
+    cfg = load_scenario(source)
+    assert load_scenario(scenario_to_dict(cfg)) == cfg
 
 
 class TestProcessingTimesFile:

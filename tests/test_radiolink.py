@@ -4,20 +4,24 @@ import numpy as np
 import pytest
 
 from nrfactory.errors import DomainError, NoGnb
-from nrfactory.propagation import FactoryScenario, Hall, gnb_grid
+from nrfactory.propagation import FactoryScenario, Hall, default_gnb_layout, gnb_grid
 from nrfactory.radiolink import (
     AasAntenna,
     BandConfig,
     DasAntenna,
     OmniAntenna,
     RadioConfig,
+    SnapshotLinks,
     UlPowerControl,
     beamforming_gain,
+    build_links,
     dl_sinr,
+    dl_sinr_array,
     sinr_grid,
     sinr_to_se,
     thermal_noise_dbm,
     ul_sinr,
+    ul_sinr_array,
     ul_tx_power,
 )
 from nrfactory.timing import TddPattern
@@ -38,6 +42,22 @@ def tdd_band(**kw) -> BandConfig:
     )
     defaults.update(kw)
     return BandConfig(**defaults)
+
+
+def reference_point_sinr(point, scenario, band, radio, direction, activity) -> float:
+    """One point alone, through the snapshot-link arrays of the capacity engine.
+
+    UL adds one representative UE under each gNB and drops those attached
+    to the point's own serving cell.
+    """
+    if direction == "DL":
+        links = build_links(scenario, radio, np.asarray([point], dtype=float))
+        return float(dl_sinr_array(links, radio, band, activity)[0])
+    reps = [(g[0], g[1], scenario.ue_height_m) for g in scenario.gnb_positions]
+    links = build_links(scenario, radio, np.asarray([point] + reps, dtype=float))
+    keep = [0] + [1 + i for i in range(len(reps)) if links.serving[1 + i] != links.serving[0]]
+    trimmed = SnapshotLinks(links.coupling_db[keep], links.serving[keep], links.is_das)
+    return float(ul_sinr_array(trimmed, radio, band, activity)[0])
 
 
 class TestUlTxPower:
@@ -204,6 +224,25 @@ class TestSinrGrid:
         das = sinr_grid(sc12, band, RadioConfig(antenna=DasAntenna(), gnb_nf_db=19.0), "DL", 5.0)
         omni = sinr_grid(sc3, band, RadioConfig(), "DL", 5.0)
         assert das.grid.min() >= omni.grid.min()
+
+    @pytest.mark.parametrize("antenna", ["omni", "das", "aas"])
+    @pytest.mark.parametrize("n_gnbs", [3, 12])
+    @pytest.mark.parametrize("direction", ["DL", "UL"])
+    @pytest.mark.parametrize("activity", [1.0, 0.5])
+    def test_grid_equals_point_sinr(self, antenna, n_gnbs, direction, activity):
+        radio = {
+            "omni": RadioConfig(),
+            "das": RadioConfig(antenna=DasAntenna(), gnb_nf_db=19.0),
+            "aas": RadioConfig(antenna=AasAntenna()),
+        }[antenna]
+        sc = scenario_with(default_gnb_layout(n_gnbs, HALL))
+        band = tdd_band()
+        grid = sinr_grid(sc, band, radio, direction, resolution_m=10.0, activity=activity)
+        point_sinr = dl_sinr if direction == "DL" else ul_sinr
+        for x, y, value in grid.to_csv_rows():
+            point = (x, y, sc.ue_height_m)
+            assert value == point_sinr(point, sc, band, radio, activity), point
+            assert value == reference_point_sinr(point, sc, band, radio, direction, activity), point
 
     def test_csv_rows(self):
         sc = scenario_with([(60.0, 25.0, 8.0)])

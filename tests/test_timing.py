@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,12 +11,9 @@ from nrfactory.timing import (
     TddPattern,
     default_budget,
     default_processing_table,
-    fdd_one_way_latency,
-    fdd_worst_case_alignment,
     handover_interruption_budget,
     max_attempts_within_bound,
     one_way_latency,
-    slot_duration,
     worst_case_alignment,
 )
 
@@ -40,7 +38,7 @@ def symmetric_table(value=10.0):
 class TestNumerology:
     @pytest.mark.parametrize("scs,expected", [(15, 1.0), (30, 0.5), (60, 0.25), (120, 0.125)])
     def test_slot_duration(self, scs, expected):
-        assert slot_duration(Numerology(scs)) == expected
+        assert Numerology(scs).slot_duration_ms == expected
 
     def test_symbol_duration(self):
         n = Numerology(30)
@@ -262,17 +260,41 @@ class TestOneWayLatency:
 
 
 class TestFddLatency:
+    """FDD is ``pattern=None``: paired all-D / all-U timelines."""
+
     def test_fdd_alignment_below_one_slot(self):
         n = Numerology(30)
         cfg = make_config(ul_access="configured_grant")
-        assert fdd_worst_case_alignment(n, cfg, "DL") < n.slot_duration_ms
-        assert fdd_worst_case_alignment(n, cfg, "UL") < n.slot_duration_ms
+        assert worst_case_alignment(None, n, cfg, "DL") < n.slot_duration_ms
+        assert worst_case_alignment(None, n, cfg, "UL") < n.slot_duration_ms
 
     def test_fdd_sr_chain_runs(self):
         n = Numerology(30)
         cfg = make_config(ul_access="sr_based")
-        r = fdd_one_way_latency(n, cfg, None, "UL", 0)
+        r = one_way_latency(None, n, cfg, None, "UL", 0)
         assert r.t_up_ms > 0
+
+    def test_fdd_matches_oracle_exactly(self):
+        cases = itertools.product(
+            (15, 30, 60, 120), (2, 4, 7, 14), (1, 2, 3, 4, 7, 14),
+            ("sr_based", "configured_grant"), ("cap1", "cap2"),
+        )
+        checked = 0
+        for scs, tti, pdcch, ul_access, cap in cases:
+            cfg = make_config(
+                tti_symbols=tti, pdcch_occasions_per_slot=pdcch,
+                ul_access=ul_access, ue_capability=cap,
+            )
+            n = Numerology(scs)
+            proc = cfg.processing_symbols("pusch", scs)
+            for direction in ("DL", "UL"):
+                expected = alignment_oracle_symbols(
+                    None, None, direction, tti, pdcch, ul_access, proc
+                ) * n.symbol_duration_ms
+                got = worst_case_alignment(None, n, cfg, direction)
+                assert got == expected, (scs, tti, pdcch, ul_access, cap, direction)
+            checked += 1
+        assert checked == 384
 
 
 class TestMaxAttempts:
