@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__, capacity as capacity_mod, coexistence as coexist_mod
 from . import exclusion as exclusion_mod
-from .config import ScenarioConfig, load_scenario, preset_checksum, PRESET_NAMES
+from .config import ExclusionSection, ScenarioConfig, load_scenario, preset_checksum, PRESET_NAMES
 from .errors import NrFactoryError, SolverFailure
 from .propagation import default_gnb_layout
 from .radiolink import AasAntenna, DasAntenna, OmniAntenna, sinr_grid
@@ -43,6 +44,27 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         sys.exit(1)
+
+
+def _checked(convert, ok, what: str):
+    """An argparse ``type=`` that converts the text and rejects values failing ``ok``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_finite_float = _checked(float, math.isfinite, "a finite number")
+_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite positive number")
 
 
 def _out_path(name: Optional[str]) -> Optional[Path]:
@@ -84,9 +106,9 @@ def _scenario_from_args(args) -> ScenarioConfig:
         cfg = load_scenario(overlay)
     band = cfg.band
     sched = cfg.scheduling
-    if getattr(args, "pattern", None):
+    if getattr(args, "pattern", None) is not None:
         band = dataclasses.replace(band, tdd_pattern=TddPattern.from_string(args.pattern))
-    if getattr(args, "tti", None):
+    if getattr(args, "tti", None) is not None:
         band = dataclasses.replace(band, tti_symbols=args.tti)
         if sched is not None:
             sched = dataclasses.replace(sched, tti_symbols=args.tti)
@@ -99,7 +121,7 @@ def _scenario_from_args(args) -> ScenarioConfig:
         else:
             radio = dataclasses.replace(radio, antenna=AasAntenna())
     scenario = cfg.scenario
-    if getattr(args, "gnbs", None):
+    if getattr(args, "gnbs", None) is not None:
         scenario = dataclasses.replace(
             scenario, gnb_positions=default_gnb_layout(args.gnbs, scenario.hall)
         )
@@ -155,9 +177,9 @@ def cmd_latency(args) -> int:
         sched = dataclasses.replace(sched, ul_access=args.ul_access)
     if args.capability:
         sched = dataclasses.replace(sched, ue_capability=args.capability)
-    if args.pdcch:
+    if args.pdcch is not None:
         sched = dataclasses.replace(sched, pdcch_occasions_per_slot=args.pdcch)
-    if args.harq:
+    if args.harq is not None:
         sched = dataclasses.replace(sched, harq_feedback_occasions_per_slot=args.harq)
     num = band.numerology
     directions = ["DL", "UL"] if args.direction == "both" else [args.direction]
@@ -183,7 +205,7 @@ def cmd_latency(args) -> int:
             "t_harq_ms": results[0].t_harq_ms,
             "t_up_ms_by_retx": [r.t_up_ms for r in results],
         }
-        if args.bound:
+        if args.bound is not None:
             fit = max_attempts_within_bound(band.tdd_pattern, num, sched, None, direction, args.bound)
             entry["bound_ms"] = args.bound
             entry["initial_fits"] = fit.initial_fits
@@ -295,25 +317,16 @@ def cmd_coexist(args) -> int:
 
 
 def cmd_exclusion(args) -> int:
-    if args.config:
-        cfg = load_scenario(args.config)
-        section = cfg.exclusion
-        if section is None:
-            raise NrFactoryError("config file has no [exclusion] section")
-        seed = args.seed if args.seed is not None else section.seed
-        gamma_dbm = args.gamma_dbm if args.gamma_dbm is not None else section.gamma_dbm
-        tol = section.tol_bits
-        max_reflections = section.max_reflections
-        k_points = section.k_points
-    else:
-        seed = args.seed if args.seed is not None else 1
-        gamma_dbm = args.gamma_dbm if args.gamma_dbm is not None else -120.0
-        tol = args.tol_bits
-        max_reflections = 1
-        k_points = args.k_points
+    # a flag given on the command line wins over the file, the file over the defaults
+    section = load_scenario(args.config).exclusion if args.config else ExclusionSection()
+    if section is None:
+        raise NrFactoryError("config file has no [exclusion] section")
+    gamma_dbm = args.gamma_dbm if args.gamma_dbm is not None else section.gamma_dbm
+    tol = args.tol_bits if args.tol_bits is not None else section.tol_bits
+    k_points = args.k_points if args.k_points is not None else section.k_points
 
     scenario = exclusion_mod.table15_scenario(
-        seed=seed, gamma_dbm=gamma_dbm, max_reflections=max_reflections, k_points=k_points
+        seed=args.seed, gamma_dbm=gamma_dbm, max_reflections=section.max_reflections, k_points=k_points
     )
 
     def to_dbm(norm: np.ndarray) -> list[float]:
@@ -324,7 +337,7 @@ def cmd_exclusion(args) -> int:
         "m_aps": scenario.m_aps,
         "k_users": scenario.k_users,
         "l_points": scenario.l_points,
-        "seed": seed,
+        "seed": args.seed,
         "gamma_dbm": gamma_dbm,
         "no_control": {
             "min_se_bits_per_s_per_hz": round(float(exclusion_mod.all_user_se(scenario, uniform).min()), 6),
@@ -337,7 +350,6 @@ def cmd_exclusion(args) -> int:
             "min_se_bits_per_s_per_hz": round(result.min_se, 6),
             "per_user_se_bits_per_s_per_hz": [round(float(v), 6) for v in result.per_user_se],
             "per_point_power_dbm": to_dbm(result.per_point_power),
-            "bisection_iterations": result.bisection_iterations,
         }
     _emit_json(payload, _out_path(args.output))
 
@@ -369,7 +381,7 @@ def build_parser() -> _Parser:
         p.add_argument("--config", help="scenario YAML file")
         p.add_argument("--preset", default=preset_default, choices=PRESET_NAMES)
         p.add_argument("--pattern", help="TDD pattern override, e.g. DDDSU")
-        p.add_argument("--tti", type=int, help="TTI length in symbols")
+        p.add_argument("--tti", type=_positive_int, help="TTI length in symbols")
         p.add_argument("-o", "--output", help="output file (default: stdout)")
 
     p_uc = sub.add_parser("usecases", help="dump the use-case catalogue")
@@ -380,12 +392,12 @@ def build_parser() -> _Parser:
     p_lat = sub.add_parser("latency", help="worst-case air-interface latency")
     add_common(p_lat)
     p_lat.add_argument("--direction", choices=("DL", "UL", "both"), default="both")
-    p_lat.add_argument("--retx", type=int, default=3, help="max retransmissions to tabulate")
-    p_lat.add_argument("--bound", type=float, help="latency bound in ms for attempt counting")
+    p_lat.add_argument("--retx", type=_nonnegative_int, default=3, help="max retransmissions to tabulate")
+    p_lat.add_argument("--bound", type=_positive_float, help="latency bound in ms for attempt counting")
     p_lat.add_argument("--ul-access", choices=("sr_based", "configured_grant"))
     p_lat.add_argument("--capability", choices=("cap1", "cap2"))
-    p_lat.add_argument("--pdcch", type=int, help="PDCCH occasions per slot")
-    p_lat.add_argument("--harq", type=int, help="HARQ feedback occasions per slot")
+    p_lat.add_argument("--pdcch", type=_positive_int, help="PDCCH occasions per slot")
+    p_lat.add_argument("--harq", type=_positive_int, help="HARQ feedback occasions per slot")
     p_lat.set_defaults(func=cmd_latency)
 
     p_cap = sub.add_parser("capacity", help="maximum served users per use case")
@@ -394,17 +406,17 @@ def build_parser() -> _Parser:
     p_cap.add_argument("--seed", type=int, required=True)
     p_cap.add_argument("--drops", type=int, default=20)
     p_cap.add_argument("--antenna", choices=("omni", "das", "aas"))
-    p_cap.add_argument("--gnbs", type=int, help="gNB count (default layout)")
+    p_cap.add_argument("--gnbs", type=_positive_int, help="gNB count (default layout)")
     p_cap.add_argument("--workers", type=int, default=1)
     p_cap.set_defaults(func=cmd_capacity)
 
     p_map = sub.add_parser("sinr-map", help="SINR heatmap grid as CSV")
     add_common(p_map)
     p_map.add_argument("--direction", choices=("DL", "UL"), default="DL")
-    p_map.add_argument("--resolution", type=float, default=1.0)
+    p_map.add_argument("--resolution", type=_positive_float, default=1.0)
     p_map.add_argument("--activity", type=float, default=1.0)
     p_map.add_argument("--antenna", choices=("omni", "das", "aas"))
-    p_map.add_argument("--gnbs", type=int)
+    p_map.add_argument("--gnbs", type=_positive_int)
     p_map.set_defaults(func=cmd_sinr_map)
 
     p_co = sub.add_parser("coexist", help="TDD overlap and risk analysis")
@@ -422,11 +434,11 @@ def build_parser() -> _Parser:
     p_ex.add_argument("--table15", action="store_true", help="use the built-in 72-AP scenario")
     p_ex.add_argument("--config", help="scenario YAML with an [exclusion] section")
     p_ex.add_argument("--seed", type=int, required=True)
-    p_ex.add_argument("--gamma-dbm", type=float)
-    p_ex.add_argument("--tol-bits", type=float, default=1e-4)
-    p_ex.add_argument("--k-points", type=int, default=112)
+    p_ex.add_argument("--gamma-dbm", type=_finite_float, help="ceiling in dBm (default -120)")
+    p_ex.add_argument("--tol-bits", type=_positive_float, help="bound on the certified gap (default 1e-4)")
+    p_ex.add_argument("--k-points", type=_positive_int, help="measurement points (default 112)")
     p_ex.add_argument("--sweep-csv", help="write a gamma-sweep trade-off CSV here")
-    p_ex.add_argument("--sweep-points", type=int, default=10)
+    p_ex.add_argument("--sweep-points", type=_positive_int, default=10)
     p_ex.add_argument("-o", "--output")
     p_ex.set_defaults(func=cmd_exclusion)
 

@@ -169,6 +169,54 @@ def test_command_runs_on_every_preset(preset, argv, tmp_path):
     assert run(argv + ["--preset", preset, "-o", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["latency", "--retx", "-1"],
+        ["latency", "--bound", "inf"],
+        ["latency", "--bound", "nan"],
+        ["latency", "--bound", "0"],
+        ["latency", "--tti", "0"],
+        ["latency", "--pdcch", "0"],
+        ["latency", "--harq", "0"],
+        ["capacity", "--seed", "1", "--gnbs", "0"],
+        ["sinr-map", "--gnbs", "0"],
+        ["sinr-map", "--tti", "-2"],
+        ["sinr-map", "--resolution", "nan"],
+        ["exclusion", "--seed", "1", "--gamma-dbm", "nan"],
+        ["exclusion", "--seed", "1", "--gamma-dbm", "inf"],
+        ["exclusion", "--seed", "1", "--k-points", "0"],
+        ["exclusion", "--seed", "1", "--tol-bits", "nan"],
+        ["exclusion", "--seed", "1", "--tol-bits", "0"],
+        ["exclusion", "--seed", "1", "--sweep-points", "0"],
+    ],
+    ids=" ".join,
+)
+def test_bad_value_is_an_input_error(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 1
+    stderr = capsys.readouterr().err
+    assert "error: argument" in stderr
+    assert "Traceback" not in stderr
+
+
+def test_empty_pattern_is_rejected(capsys):
+    assert main(["latency", "--pattern", ""]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_exclusion_flags_win_over_the_file(tmp_path):
+    cfg = tmp_path / "excl.yaml"
+    cfg.write_text("exclusion:\n  k_points: 6\n")
+    out = tmp_path / "excl.json"
+    assert run(["exclusion", "--config", str(cfg), "--seed", "2", "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["k_users"] == 6
+    args = ["exclusion", "--config", str(cfg), "--seed", "2", "--k-points", "4", "--tol-bits", "1e-3"]
+    assert run(args + ["-o", str(out)]) == 0
+    assert json.loads(out.read_text())["k_users"] == 4
+
+
 class TestTopLevel:
     def test_unknown_subcommand_exits_one(self, capsys):
         with pytest.raises(SystemExit) as err:

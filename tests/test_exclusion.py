@@ -3,18 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from nrfactory.errors import DomainError
+from nrfactory import exclusion
+from nrfactory.cli import main
+from nrfactory.errors import DomainError, SolverFailure
 from nrfactory.exclusion import (
     CellFreeScenario,
     PowerAllocation,
+    all_exclusion_powers,
     all_user_se,
-    exclusion_power,
     feasibility_lp,
     gamma_norm_from_dbm,
     solve_maxmin,
     table15_scenario,
     uniform_full_power,
-    user_se,
 )
 
 
@@ -68,20 +69,20 @@ class TestUserSe:
             p_t_mw=1.0, noise_mw=1.0, gamma_norm=1.0,
         )
         alloc = PowerAllocation(rho=np.array([[1.0]]))
-        assert user_se(sc, alloc, 0) == pytest.approx(1.0, abs=1e-12)
+        assert all_user_se(sc, alloc)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_allocation(self):
         rng = np.random.default_rng(0)
         sc = tiny_scenario(rng)
         alloc = PowerAllocation(rho=np.zeros((2, 2)))
-        assert user_se(sc, alloc, 0) == 0.0
-        assert user_se(sc, alloc, 1) == 0.0
+        assert all_user_se(sc, alloc)[0] == 0.0
+        assert all_user_se(sc, alloc)[1] == 0.0
 
     def test_symmetric_channels_symmetric_se(self):
         h = np.array([[0.5 + 0j, 0.5 + 0j], [0.3 + 0j, 0.3 + 0j]])
         sc = CellFreeScenario(h=h, g=np.ones((2, 1), dtype=complex), p_t_mw=1.0, noise_mw=1.0, gamma_norm=1.0)
         alloc = PowerAllocation(rho=np.full((2, 2), 0.5))
-        assert user_se(sc, alloc, 0) == pytest.approx(user_se(sc, alloc, 1), abs=1e-14)
+        assert all_user_se(sc, alloc)[0] == pytest.approx(all_user_se(sc, alloc)[1], abs=1e-14)
 
     def test_phase_invariance(self):
         rng = np.random.default_rng(5)
@@ -92,14 +93,14 @@ class TestUserSe:
         )
         alloc = uniform_full_power(sc)
         for k in range(2):
-            assert user_se(sc, alloc, k) == pytest.approx(user_se(rotated, alloc, k), rel=1e-12)
+            assert all_user_se(sc, alloc)[k] == pytest.approx(all_user_se(rotated, alloc)[k], rel=1e-12)
 
 
 class TestExclusionPower:
     def test_zero_rho(self):
         rng = np.random.default_rng(1)
         sc = tiny_scenario(rng)
-        assert exclusion_power(sc, PowerAllocation(rho=np.zeros((2, 2))), 0) == 0.0
+        assert all_exclusion_powers(sc, PowerAllocation(rho=np.zeros((2, 2))))[0] == 0.0
 
     def test_single_term(self):
         sc = CellFreeScenario(
@@ -107,14 +108,14 @@ class TestExclusionPower:
             g=np.array([[complex(math.sqrt(0.5), 0.0)]]),
             p_t_mw=1.0, noise_mw=1.0, gamma_norm=1.0,
         )
-        assert exclusion_power(sc, PowerAllocation(rho=np.array([[1.0]])), 0) == pytest.approx(0.5)
+        assert all_exclusion_powers(sc, PowerAllocation(rho=np.array([[1.0]])))[0] == pytest.approx(0.5)
 
     def test_linearity(self):
         rng = np.random.default_rng(2)
         sc = tiny_scenario(rng)
         rho = rng.uniform(0, 0.5, size=(2, 2))
-        full = exclusion_power(sc, PowerAllocation(rho=rho), 0)
-        half = exclusion_power(sc, PowerAllocation(rho=0.5 * rho), 0)
+        full = all_exclusion_powers(sc, PowerAllocation(rho=rho))[0]
+        half = all_exclusion_powers(sc, PowerAllocation(rho=0.5 * rho))[0]
         assert half == pytest.approx(0.5 * full, rel=1e-12)
 
 
@@ -198,16 +199,6 @@ class TestSolveMaxMin:
             assert res.min_se <= prev + 2e-5
             prev = res.min_se
 
-    def test_iteration_bound(self):
-        rng = np.random.default_rng(13)
-        sc = tiny_scenario(rng)
-        tol = 1e-4
-        result = solve_maxmin(sc, use_exclusion=False, tol_bits=tol)
-        c = sc.noise_over_pt
-        t_max = float(np.max(np.sum(np.abs(sc.h) ** 2, axis=0)) / c)
-        bound = math.ceil(math.log2(math.log2(1 + t_max) / tol))
-        assert result.bisection_iterations <= bound
-
     def test_constraint_residuals(self):
         rng = np.random.default_rng(14)
         for _ in range(5):
@@ -222,6 +213,79 @@ class TestSolveMaxMin:
         rng = np.random.default_rng(15)
         with pytest.raises(DomainError):
             solve_maxmin(tiny_scenario(rng), use_exclusion=False, tol_bits=0.0)
+
+
+@pytest.fixture(scope="module")
+def table15_solves():
+    """Table15, seed 1: max-min with no ceiling, at -120 dBm and at -90 dBm."""
+    sc = table15_scenario(seed=1)
+    at_90 = CellFreeScenario(
+        h=sc.h, g=sc.g, p_t_mw=sc.p_t_mw, noise_mw=sc.noise_mw,
+        gamma_norm=gamma_norm_from_dbm(-90.0, sc.p_t_mw),
+    )
+    return {
+        "free": (sc, solve_maxmin(sc, use_exclusion=False)),
+        "-120dBm": (sc, solve_maxmin(sc, use_exclusion=True)),
+        "-90dBm": (at_90, solve_maxmin(at_90, use_exclusion=True)),
+    }
+
+
+class TestTable15MaxMin:
+    def test_no_ceiling_reaches_the_interference_limit(self, table15_solves):
+        _, result = table15_solves["free"]
+        assert result.min_se == pytest.approx(math.log2(1.0 + 1.0 / 111), abs=1e-6)
+
+    def test_tight_ceiling_keeps_a_positive_rate(self, table15_solves):
+        _, result = table15_solves["-120dBm"]
+        assert result.min_se > 0
+
+    def test_ceilings_cost_rate_in_order(self, table15_solves):
+        free, at_90, at_120 = (table15_solves[c][1].min_se for c in ("free", "-90dBm", "-120dBm"))
+        assert free > at_90 > at_120
+
+    @pytest.mark.parametrize("case", ["free", "-120dBm", "-90dBm"])
+    def test_users_equalized_and_constraints_met(self, table15_solves, case):
+        sc, result = table15_solves[case]
+        assert float(result.per_user_se.max() - result.per_user_se.min()) <= 1e-12
+        rho = result.allocation.rho
+        assert np.all(rho >= 0)
+        assert np.all(rho.sum(axis=1) <= 1.0 + 1e-9)
+        if case != "free":
+            assert np.all(result.per_point_power <= sc.gamma_norm * (1 + 1e-9))
+
+
+class TestCertifiedGap:
+    @pytest.fixture
+    def halved_primal(self, monkeypatch):
+        """A solver whose primal x is half the optimum, so the dual bound exposes it."""
+        real = exclusion.linprog
+
+        def halved(*args, **kwargs):
+            result = real(*args, **kwargs)
+            result.x = result.x / 2.0
+            return result
+
+        monkeypatch.setattr(exclusion, "linprog", halved)
+
+    def test_exact_solve_has_no_gap(self):
+        sc = tiny_scenario(np.random.default_rng(16))
+        witness = feasibility_lp(sc, 0.0, use_exclusion=True)
+        assert witness.se_bound - all_user_se(sc, witness).min() <= 1e-9
+
+    def test_halved_witness_raises(self, halved_primal):
+        sc = tiny_scenario(np.random.default_rng(16))
+        with pytest.raises(SolverFailure):
+            solve_maxmin(sc, use_exclusion=False)
+
+    def test_halved_witness_exits_two(self, halved_primal, tmp_path, capsys):
+        # -100 dBm keeps the ceiling solve noise-limited, where half the power is
+        # about half the SE; interference-limited solves barely notice the halving
+        code = main([
+            "exclusion", "--table15", "--seed", "2", "--k-points", "8", "--gamma-dbm", "-100",
+            "--tol-bits", "1e-3", "-o", str(tmp_path / "excl.json"),
+        ])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestTable15Scenario:
@@ -251,6 +315,17 @@ class TestScenarioValidation:
         h = np.zeros((2, 1), dtype=complex)
         with pytest.raises(DomainError):
             CellFreeScenario(h=h, g=np.ones((2, 1), dtype=complex), p_t_mw=1.0, noise_mw=1.0, gamma_norm=1.0)
+
+    def test_no_users_rejected(self):
+        with pytest.raises(DomainError):
+            CellFreeScenario(h=np.ones((2, 0), dtype=complex), g=np.ones((2, 1), dtype=complex),
+                             p_t_mw=1.0, noise_mw=1.0, gamma_norm=1.0)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(DomainError):
+            CellFreeScenario(h=np.ones((2, 1), dtype=complex), g=np.ones((2, 1), dtype=complex),
+                             p_t_mw=1.0, noise_mw=1.0, gamma_norm=gamma)
 
     def test_negative_rho_rejected(self):
         with pytest.raises(DomainError):
