@@ -6,15 +6,16 @@ while no cell exceeds its schedulable resources.  The scheduler is
 abstracted to deterministic resource accounting (per-cell utilization at
 most 1) - absolute numbers are scheduler-dependent, orderings between
 configurations are the meaningful output.  Interference load and cell
-utilization are coupled through a damped fixed point; drops share a base
-seed with per-drop derivation so results are machine- and
-parallelism-independent.
+utilization are coupled through a damped fixed point whose rounds reuse
+each drop's linear link powers; drops share a base seed with per-drop
+derivation so results are machine- and parallelism-independent.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from importlib import resources
 from typing import Literal, Optional
@@ -30,6 +31,7 @@ from .radiolink import (
     SnapshotLinks,
     build_links,
     dl_sinr_array,
+    link_powers,
     sinr_to_se,
     ul_sinr_array,
 )
@@ -193,8 +195,10 @@ def _drop_utilization(
 ) -> tuple[np.ndarray, int]:
     """Per-cell utilization for one drop via the damped activity fixed point.
 
-    Returns (utilization per cell, infeasible-link count).  Non-convergence
-    falls back to full activity (conservative).
+    The link powers are computed once per drop; each round applies its
+    activity and interferer weights to them and maps all SINRs to demands
+    in one array call.  Returns (utilization per cell, infeasible-link
+    count).  Non-convergence falls back to full activity (conservative).
     """
     n_cells = links.n_cells
     n_users = links.coupling_db.shape[0]
@@ -207,13 +211,14 @@ def _drop_utilization(
     per_msg = 1000.0 / use_case.cycle_time_ms / RB_SYMBOL_HZ_S
 
     serving = links.serving if not links.is_das else np.zeros(n_users, dtype=int)
+    powers = link_powers(links, radio, band, direction)
 
     def demands(activity: np.ndarray, weights: Optional[np.ndarray]) -> tuple[np.ndarray, int]:
         if direction == "DL":
-            sinr = dl_sinr_array(links, radio, band, activity)
+            sinr = dl_sinr_array(links, radio, band, activity, powers=powers)
         else:
-            sinr = ul_sinr_array(links, radio, band, activity, interferer_weights=weights)
-        se = np.array([sinr_to_se(s, bler) for s in sinr])
+            sinr = ul_sinr_array(links, radio, band, activity, interferer_weights=weights, powers=powers)
+        se = sinr_to_se(sinr, bler)
         bad = int(np.count_nonzero(se <= 0.0))
         dem = np.where(se > 0.0, bits / np.maximum(se, 1e-12) * e_tx * per_msg, np.inf)
         return dem, bad
@@ -297,11 +302,14 @@ def evaluate_load(
     model: Optional[ResourceModel] = None,
     directions: tuple[Direction, ...] = ("DL", "UL"),
     workers: int = 1,
+    _pool: Optional[Executor] = None,
 ) -> LoadResult:
     """Check whether ``n_users`` can be served in every drop.
 
     Infeasibility is a result, not an error.  Results are bit-identical
-    for a fixed (seed, n_drops) regardless of ``workers``.
+    for a fixed (seed, n_drops) regardless of ``workers``.  ``_pool`` is a
+    capacity search's shared process pool; without it, ``workers > 1``
+    opens one for this call.
     """
     if n_users < 0:
         raise DomainError("n_users must be >= 0")
@@ -324,7 +332,8 @@ def evaluate_load(
         for drop in range(n_drops)
     ]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        opened = nullcontext(_pool) if _pool is not None else ProcessPoolExecutor(max_workers=workers)
+        with opened as pool:
             results = list(pool.map(_evaluate_drop_star, args))
     else:
         results = [_evaluate_drop_star(a) for a in args]
@@ -340,12 +349,12 @@ def _evaluate_drop_star(args) -> tuple[bool, float, int]:
 
 
 def _search_direction(
-    scenario, band, radio, use_case, direction, n_drops, seed, sched, model, workers
+    scenario, band, radio, use_case, direction, n_drops, seed, sched, model, workers, pool
 ) -> int:
     def ok(n: int) -> bool:
         return evaluate_load(
             scenario, band, radio, use_case, n, n_drops, seed, sched, model,
-            directions=(direction,), workers=workers,
+            directions=(direction,), workers=workers, _pool=pool,
         ).feasible
 
     if not ok(1):
@@ -395,12 +404,17 @@ def max_served_users(
     model: Optional[ResourceModel] = None,
     workers: int = 1,
 ) -> CapacityResult:
-    """Binary-search the per-direction capacity; combined is their minimum."""
+    """Binary-search the per-direction capacity; combined is their minimum.
+
+    With ``workers > 1`` every probe of both searches runs on one process pool.
+    """
     from .radiolink import DasAntenna
 
     n_cells = 1 if isinstance(radio.antenna, DasAntenna) else max(len(scenario.gnb_positions), 1)
-    dl = _search_direction(scenario, band, radio, use_case, "DL", n_drops, seed, sched, model, workers)
-    ul = _search_direction(scenario, band, radio, use_case, "UL", n_drops, seed, sched, model, workers)
+    opened = ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+    with opened as pool:
+        dl = _search_direction(scenario, band, radio, use_case, "DL", n_drops, seed, sched, model, workers, pool)
+        ul = _search_direction(scenario, band, radio, use_case, "UL", n_drops, seed, sched, model, workers, pool)
     combined = min(dl, ul)
     return CapacityResult(
         max_users_dl=dl,

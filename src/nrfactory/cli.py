@@ -64,6 +64,7 @@ def _checked(convert, ok, what: str):
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
 _nonnegative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _finite_float = _checked(float, math.isfinite, "a finite number")
+_nonnegative_float = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite non-negative number")
 _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite positive number")
 
 
@@ -307,7 +308,7 @@ def cmd_coexist(args) -> int:
             "annotations": list(risk.annotations),
         },
     }
-    if args.find_safe:
+    if args.find_safe is not None:
         safe = coexist_mod.find_safe_patterns(outdoor, args.find_safe, args.min_ul)
         payload["safe_indoor_patterns"] = [str(p) for p in safe]
     if args.offset:
@@ -404,10 +405,10 @@ def build_parser() -> _Parser:
     add_common(p_cap)
     p_cap.add_argument("--usecase", default="UC1", help="catalogue use-case name")
     p_cap.add_argument("--seed", type=int, required=True)
-    p_cap.add_argument("--drops", type=int, default=20)
+    p_cap.add_argument("--drops", type=_positive_int, default=20)
     p_cap.add_argument("--antenna", choices=("omni", "das", "aas"))
     p_cap.add_argument("--gnbs", type=_positive_int, help="gNB count (default layout)")
-    p_cap.add_argument("--workers", type=int, default=1)
+    p_cap.add_argument("--workers", type=_positive_int, default=1)
     p_cap.set_defaults(func=cmd_capacity)
 
     p_map = sub.add_parser("sinr-map", help="SINR heatmap grid as CSV")
@@ -422,10 +423,10 @@ def build_parser() -> _Parser:
     p_co = sub.add_parser("coexist", help="TDD overlap and risk analysis")
     p_co.add_argument("--indoor", required=True, help="indoor pattern, e.g. DDDDUDDDUU")
     p_co.add_argument("--outdoor", required=True, help="outdoor pattern, e.g. DDDDU")
-    p_co.add_argument("--separation", type=float, default=1.0, help="UE separation in m")
+    p_co.add_argument("--separation", type=_nonnegative_float, default=1.0, help="UE separation in m")
     p_co.add_argument("--wall-loss", type=float, default=8.0, help="window/wall loss in dB")
     p_co.add_argument("--offset", type=int, default=0, help="outdoor slot offset (exploratory)")
-    p_co.add_argument("--find-safe", type=int, metavar="LENGTH", help="list safe indoor patterns")
+    p_co.add_argument("--find-safe", type=_positive_int, metavar="LENGTH", help="list safe indoor patterns")
     p_co.add_argument("--min-ul", type=int, default=1)
     p_co.add_argument("-o", "--output")
     p_co.set_defaults(func=cmd_coexist)

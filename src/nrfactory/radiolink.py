@@ -119,8 +119,11 @@ def ul_tx_power(pathloss_db: float, config: RadioConfig, allocated_bw_hz: float)
     """
     if pathloss_db <= 0:
         raise DomainError("pathloss must be positive")
-    p0 = config.ul_pc.snr_target_db + thermal_noise_dbm(allocated_bw_hz) + config.gnb_nf_db
-    return min(config.ue_tx_max_dbm, p0 + config.ul_pc.alpha * pathloss_db)
+    return min(config.ue_tx_max_dbm, _ul_p0_dbm(config, allocated_bw_hz) + config.ul_pc.alpha * pathloss_db)
+
+
+def _ul_p0_dbm(config: RadioConfig, allocated_bw_hz: float) -> float:
+    return config.ul_pc.snr_target_db + thermal_noise_dbm(allocated_bw_hz) + config.gnb_nf_db
 
 
 def beamforming_gain(panel: AasAntenna, serving: bool) -> float:
@@ -139,23 +142,25 @@ def gnb_antenna_gain_db(antenna: Antenna, serving: bool) -> float:
 
 
 def sinr_to_se(
-    sinr_db: float,
+    sinr_db: Union[float, np.ndarray],
     bler_target: float,
     max_se: float = 7.4,
     eta: float = 0.75,
     backoff_db_per_decade: float = 1.0,
-) -> float:
+) -> Union[float, np.ndarray]:
     """Attenuated-Shannon link adaptation with a BLER-target backoff.
 
     The backoff grows by ``backoff_db_per_decade`` for every decade of BLER
     stringency, standing in for the more robust MCS a stricter target
-    forces.
+    forces.  ``sinr_db`` is a scalar or an array; the result has its shape.
+    numpy's ``log2`` and ``power`` may differ from the scalar ``math``
+    formula in the last bit or two.
     """
     if not 0.0 < bler_target < 1.0:
         raise DomainError("bler_target must be in (0, 1)")
     backoff = -backoff_db_per_decade * math.log10(bler_target)
-    se = eta * math.log2(1.0 + 10.0 ** ((sinr_db - backoff) / 10.0))
-    return min(max_se, se)
+    se = eta * np.log2(1.0 + 10.0 ** ((np.asarray(sinr_db, dtype=float) - backoff) / 10.0))
+    return np.minimum(max_se, se)
 
 
 def _median_coupling_db(
@@ -257,10 +262,42 @@ def _noise_lin(band: BandConfig, nf_db: float) -> float:
 
 
 def _ul_tx_dbm(eff_serv: np.ndarray, radio: RadioConfig, band: BandConfig) -> np.ndarray:
-    """Per-UE transmit power under open-loop control toward its serving cell."""
-    return np.array(
-        [ul_tx_power(max(float(c), 1e-6), radio, band.bandwidth_mhz * 1e6) for c in eff_serv]
-    )
+    """``ul_tx_power`` toward each UE's serving cell, couplings floored at 1e-6 dB."""
+    p0 = _ul_p0_dbm(radio, band.bandwidth_mhz * 1e6)
+    return np.minimum(radio.ue_tx_max_dbm, p0 + radio.ul_pc.alpha * np.maximum(eff_serv, 1e-6))
+
+
+@dataclass(frozen=True)
+class LinkPowers:
+    """Linear powers (mW) of one snapshot in one direction, before any activity.
+
+    The first step of a SINR evaluation: it depends only on the links, the
+    radio and the band, so a load fixed point computes it once per drop and
+    applies each round's activity to it.
+    """
+
+    signal: np.ndarray      # (N,) wanted power at the UE (DL) or at its serving cell (UL)
+    interf: np.ndarray      # (N, G) DL: cell g's power at UE n; UL: UE n's power at cell g
+    noise: float
+
+
+def link_powers(
+    links: SnapshotLinks, radio: RadioConfig, band: BandConfig, direction: Direction
+) -> LinkPowers:
+    """The activity-independent step of ``dl_sinr_array`` / ``ul_sinr_array``."""
+    coupling = links.coupling_db
+    gain_serve = gnb_antenna_gain_db(radio.antenna, True)
+    gain_interf = gnb_antenna_gain_db(radio.antenna, False)
+    if direction == "DL":
+        rx_serve = _db_to_lin(radio.gnb_tx_dbm + gain_serve + radio.ue_gain_dbi - coupling)
+        idx = np.arange(coupling.shape[0])
+        signal = rx_serve.sum(axis=1) if links.is_das else rx_serve[idx, links.serving]
+        interf = _db_to_lin(radio.gnb_tx_dbm + gain_interf + radio.ue_gain_dbi - coupling)
+        return LinkPowers(signal, interf, _noise_lin(band, radio.ue_nf_db))
+    eff_serv = ul_effective_coupling_db(links, radio)
+    p_tx = _ul_tx_dbm(eff_serv, radio, band)
+    interf = _db_to_lin(p_tx[:, None] - (coupling - gain_interf - radio.ue_gain_dbi))
+    return LinkPowers(_db_to_lin(p_tx - eff_serv), interf, _noise_lin(band, radio.gnb_nf_db))
 
 
 def dl_sinr_array(
@@ -268,26 +305,22 @@ def dl_sinr_array(
     radio: RadioConfig,
     band: BandConfig,
     activity: Union[float, np.ndarray],
+    powers: Optional[LinkPowers] = None,
 ) -> np.ndarray:
-    """Per-UE downlink SINR in dB given per-cell interferer activity."""
-    noise = _noise_lin(band, radio.ue_nf_db)
-    coupling = links.coupling_db
-    n_ue, n_gnb = coupling.shape
+    """Per-UE downlink SINR in dB given per-cell interferer activity.
 
+    ``powers`` is ``link_powers(links, radio, band, "DL")``, computed here
+    when not given.
+    """
+    if powers is None:
+        powers = link_powers(links, radio, band, "DL")
     if links.is_das:
-        rx = radio.gnb_tx_dbm + gnb_antenna_gain_db(radio.antenna, True) + radio.ue_gain_dbi - coupling
-        signal = _db_to_lin(rx).sum(axis=1)
-        return 10.0 * np.log10(signal / noise)
-
-    act = np.broadcast_to(np.asarray(activity, dtype=float), (n_gnb,))
-    serve_gain = gnb_antenna_gain_db(radio.antenna, True)
-    interf_gain = gnb_antenna_gain_db(radio.antenna, False)
-    rx_serve = _db_to_lin(radio.gnb_tx_dbm + serve_gain + radio.ue_gain_dbi - coupling)
-    rx_interf = _db_to_lin(radio.gnb_tx_dbm + interf_gain + radio.ue_gain_dbi - coupling)
-    idx = np.arange(n_ue)
-    signal = rx_serve[idx, links.serving]
+        return 10.0 * np.log10(powers.signal / powers.noise)
+    rx_interf = powers.interf
+    act = np.broadcast_to(np.asarray(activity, dtype=float), (rx_interf.shape[1],))
+    idx = np.arange(rx_interf.shape[0])
     interference = rx_interf @ act - rx_interf[idx, links.serving] * act[links.serving]
-    return 10.0 * np.log10(signal / (interference + noise))
+    return 10.0 * np.log10(powers.signal / (interference + powers.noise))
 
 
 def ul_effective_coupling_db(links: SnapshotLinks, radio: RadioConfig) -> np.ndarray:
@@ -308,24 +341,20 @@ def ul_sinr_array(
     band: BandConfig,
     activity: Union[float, np.ndarray],
     interferer_weights: Optional[np.ndarray] = None,
+    powers: Optional[LinkPowers] = None,
 ) -> np.ndarray:
     """Per-UE uplink SINR in dB at the serving cell.
 
     Interference is the activity-weighted mean received power of the other
     cells' UEs; ``interferer_weights`` gives each UE's share of its own
-    cell's resources (uniform by default).
+    cell's resources (uniform by default).  ``powers`` is
+    ``link_powers(links, radio, band, "UL")``, computed here when not given.
     """
-    noise = _noise_lin(band, radio.gnb_nf_db)
-    coupling = links.coupling_db
-    n_ue, n_gnb = coupling.shape
-
-    eff_serv = ul_effective_coupling_db(links, radio)
-    p_tx = _ul_tx_dbm(eff_serv, radio, band)
-    signal = _db_to_lin(p_tx - eff_serv)
-
+    if powers is None:
+        powers = link_powers(links, radio, band, "UL")
     if links.is_das:
-        return 10.0 * np.log10(signal / noise)
-
+        return 10.0 * np.log10(powers.signal / powers.noise)
+    n_ue, n_gnb = powers.interf.shape
     act = np.broadcast_to(np.asarray(activity, dtype=float), (n_gnb,))
     if interferer_weights is None:
         weights = np.ones(n_ue)
@@ -338,16 +367,12 @@ def ul_sinr_array(
     scale = np.where(own_cell_w > 0, act[links.serving] / np.maximum(own_cell_w, 1e-300), 0.0)
     w = weights * scale
 
-    gain_interf = gnb_antenna_gain_db(radio.antenna, False)
-    rx_at_cells = _db_to_lin(
-        p_tx[:, None] - (coupling - gain_interf - radio.ue_gain_dbi)
-    )  # (N, G) interferer-side gain
-    weighted = rx_at_cells * w[:, None]
+    weighted = powers.interf * w[:, None]
     total_at_cell = weighted.sum(axis=0)  # (G,)
     own_cell = np.zeros(n_gnb)
     np.add.at(own_cell, links.serving, weighted[np.arange(n_ue), links.serving])
     interference = (total_at_cell - own_cell)[links.serving]
-    return 10.0 * np.log10(signal / (interference + noise))
+    return 10.0 * np.log10(powers.signal / (interference + powers.noise))
 
 
 def sinr_at_points(
@@ -379,10 +404,8 @@ def sinr_at_points(
     )
     n = len(points)
     links = build_links(scenario, radio, np.vstack([points, reps]))
-    eff_serv = ul_effective_coupling_db(links, radio)
-    p_tx = _ul_tx_dbm(eff_serv, radio, band)
-    gain_interf = gnb_antenna_gain_db(radio.antenna, False)
-    rx = _db_to_lin(p_tx[:, None] - (links.coupling_db - gain_interf - radio.ue_gain_dbi))
+    powers = link_powers(links, radio, band, "UL")
+    rx = powers.interf
     cell, rep_cell = links.serving[:n], links.serving[n:]
     # weights as ul_sinr_array gives them: a cell's activity shared by its UEs
     rep_w = activity / np.bincount(rep_cell)[rep_cell]
@@ -392,8 +415,7 @@ def sinr_at_points(
     total = own
     for r in range(len(reps)):
         total = total + np.where(rep_cell[r] != cell, rx[n + r, cell] * rep_w[r], 0.0)
-    signal = _db_to_lin(p_tx[:n] - eff_serv[:n])
-    return 10.0 * np.log10(signal / ((total - own) + _noise_lin(band, radio.gnb_nf_db)))
+    return 10.0 * np.log10(powers.signal[:n] / ((total - own) + powers.noise))
 
 
 def dl_sinr(

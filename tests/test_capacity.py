@@ -1,5 +1,6 @@
 import pytest
 
+from nrfactory import capacity
 from nrfactory.capacity import (
     CapacityResult,
     ResourceModel,
@@ -248,6 +249,34 @@ class TestMaxServedUsers:
         for direction, n in (("DL", result.max_users_dl), ("UL", result.max_users_ul)):
             assert evaluate_load(sc, b, RadioConfig(), uc, n, 2, 3, directions=(direction,)).feasible
             assert not evaluate_load(sc, b, RadioConfig(), uc, n + 1, 2, 3, directions=(direction,)).feasible
+
+    def test_one_pool_per_search(self, monkeypatch):
+        built = []
+        real = capacity.ProcessPoolExecutor
+
+        def spy(*args, **kwargs):
+            built.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(capacity, "ProcessPoolExecutor", spy)
+        sc = scenario(3)
+        b = band("DUDU")
+        uc = find_use_case("UC1")
+        serial = max_served_users(sc, b, RadioConfig(), uc, n_drops=2, seed=3)
+        assert built == []
+        assert max_served_users(sc, b, RadioConfig(), uc, n_drops=2, seed=3, workers=2) == serial
+        assert built == [{"max_workers": 2}]
+        # a probe made on its own still opens its own pool
+        evaluate_load(sc, b, RadioConfig(), uc, 4, n_drops=2, seed=3, workers=2)
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("pattern, dl, ul", [("DUDU", 74, 12), ("DDDSU", 116, 3)])
+    def test_criterion_6_omni_capacities(self, pattern, dl, ul):
+        # criterion 6 checks only orderings; a last-bit change in link
+        # adaptation that flips one probe shows here
+        radio = RadioConfig(gnb_nf_db=5.0, ue_nf_db=9.0)
+        result = max_served_users(scenario(3), band(pattern), radio, find_use_case("UC1"), n_drops=20, seed=1)
+        assert (result.max_users_dl, result.max_users_ul) == (dl, ul)
 
     def test_se_accounting_identity(self):
         sc = scenario(3)

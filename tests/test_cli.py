@@ -180,6 +180,12 @@ def test_command_runs_on_every_preset(preset, argv, tmp_path):
         ["latency", "--pdcch", "0"],
         ["latency", "--harq", "0"],
         ["capacity", "--seed", "1", "--gnbs", "0"],
+        ["capacity", "--seed", "1", "--workers", "0"],
+        ["capacity", "--seed", "1", "--drops", "0"],
+        ["coexist", "--indoor", "DDDU", "--outdoor", "DDDDU", "--separation", "nan"],
+        ["coexist", "--indoor", "DDDU", "--outdoor", "DDDDU", "--separation", "inf"],
+        ["coexist", "--indoor", "DDDU", "--outdoor", "DDDDU", "--separation", "-5"],
+        ["coexist", "--indoor", "DDDU", "--outdoor", "DDDDU", "--find-safe", "0"],
         ["sinr-map", "--gnbs", "0"],
         ["sinr-map", "--tti", "-2"],
         ["sinr-map", "--resolution", "nan"],

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrfactory.errors import DomainError, NoGnb
 from nrfactory.propagation import FactoryScenario, Hall, default_gnb_layout, gnb_grid
@@ -17,13 +19,17 @@ from nrfactory.radiolink import (
     build_links,
     dl_sinr,
     dl_sinr_array,
+    gnb_antenna_gain_db,
+    link_powers,
     sinr_grid,
     sinr_to_se,
     thermal_noise_dbm,
     ul_sinr,
     ul_sinr_array,
+    ul_effective_coupling_db,
     ul_tx_power,
 )
+from nrfactory import radiolink
 from nrfactory.timing import TddPattern
 
 HALL = Hall(120.0, 50.0, 10.0)
@@ -60,6 +66,52 @@ def reference_point_sinr(point, scenario, band, radio, direction, activity) -> f
     return float(ul_sinr_array(trimmed, radio, band, activity)[0])
 
 
+def one_shot_dl_sinr(links, radio, band, activity):
+    """Downlink SINR in dB computed in one pass, every power from the dB values."""
+    noise = 10.0 ** ((thermal_noise_dbm(band.bandwidth_mhz * 1e6) + radio.ue_nf_db) / 10.0)
+    coupling = links.coupling_db
+    n_ue, n_gnb = coupling.shape
+    if links.is_das:
+        rx = radio.gnb_tx_dbm + gnb_antenna_gain_db(radio.antenna, True) + radio.ue_gain_dbi - coupling
+        return 10.0 * np.log10((10.0 ** (rx / 10.0)).sum(axis=1) / noise)
+    act = np.broadcast_to(np.asarray(activity, dtype=float), (n_gnb,))
+    serve_gain = gnb_antenna_gain_db(radio.antenna, True)
+    interf_gain = gnb_antenna_gain_db(radio.antenna, False)
+    rx_serve = 10.0 ** ((radio.gnb_tx_dbm + serve_gain + radio.ue_gain_dbi - coupling) / 10.0)
+    rx_interf = 10.0 ** ((radio.gnb_tx_dbm + interf_gain + radio.ue_gain_dbi - coupling) / 10.0)
+    idx = np.arange(n_ue)
+    signal = rx_serve[idx, links.serving]
+    interference = rx_interf @ act - rx_interf[idx, links.serving] * act[links.serving]
+    return 10.0 * np.log10(signal / (interference + noise))
+
+
+def one_shot_ul_sinr(links, radio, band, activity, weights=None):
+    """Uplink SINR in dB computed in one pass, with per-UE scalar power control."""
+    bw = band.bandwidth_mhz * 1e6
+    noise = 10.0 ** ((thermal_noise_dbm(bw) + radio.gnb_nf_db) / 10.0)
+    coupling = links.coupling_db
+    n_ue, n_gnb = coupling.shape
+    eff_serv = ul_effective_coupling_db(links, radio)
+    p_tx = np.array([ul_tx_power(max(float(c), 1e-6), radio, bw) for c in eff_serv])
+    signal = 10.0 ** ((p_tx - eff_serv) / 10.0)
+    if links.is_das:
+        return 10.0 * np.log10(signal / noise)
+    act = np.broadcast_to(np.asarray(activity, dtype=float), (n_gnb,))
+    weights = np.ones(n_ue) if weights is None else np.asarray(weights, dtype=float)
+    cell_w = np.zeros(n_gnb)
+    np.add.at(cell_w, links.serving, weights)
+    own_cell_w = cell_w[links.serving]
+    scale = np.where(own_cell_w > 0, act[links.serving] / np.maximum(own_cell_w, 1e-300), 0.0)
+    w = weights * scale
+    gain_interf = gnb_antenna_gain_db(radio.antenna, False)
+    rx_at_cells = 10.0 ** ((p_tx[:, None] - (coupling - gain_interf - radio.ue_gain_dbi)) / 10.0)
+    weighted = rx_at_cells * w[:, None]
+    own_cell = np.zeros(n_gnb)
+    np.add.at(own_cell, links.serving, weighted[np.arange(n_ue), links.serving])
+    interference = (weighted.sum(axis=0) - own_cell)[links.serving]
+    return 10.0 * np.log10(signal / (interference + noise))
+
+
 class TestUlTxPower:
     def test_full_compensation_hits_target(self):
         radio = RadioConfig(ul_pc=UlPowerControl(snr_target_db=10.0, alpha=1.0))
@@ -84,6 +136,22 @@ class TestUlTxPower:
     def test_invalid_pathloss(self):
         with pytest.raises(DomainError):
             ul_tx_power(0.0, RadioConfig(), 20e6)
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        st.lists(st.floats(-50.0, 250.0), min_size=1, max_size=40),
+        st.floats(0.0, 1.0),
+        st.floats(-20.0, 40.0),
+        st.floats(-10.0, 33.0),
+        st.sampled_from([5.0, 20.0, 100.0, 400.0]),
+    )
+    def test_array_power_equals_scalar(self, coupling, alpha, snr_target, p_max, bw_mhz):
+        # includes couplings at or below 0 dB (floored at 1e-6) and P_max clipping
+        radio = RadioConfig(ue_tx_max_dbm=p_max, ul_pc=UlPowerControl(snr_target_db=snr_target, alpha=alpha))
+        band = tdd_band(bandwidth_mhz=bw_mhz)
+        got = radiolink._ul_tx_dbm(np.array(coupling), radio, band)
+        want = [ul_tx_power(max(c, 1e-6), radio, bw_mhz * 1e6) for c in coupling]
+        assert got.tolist() == want
 
 
 class TestBeamformingGain:
@@ -121,6 +189,22 @@ class TestSinrToSe:
     def test_invalid_bler(self):
         with pytest.raises(DomainError):
             sinr_to_se(10.0, 0.0)
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        st.lists(st.floats(-60.0, 90.0), min_size=1, max_size=60),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.floats(0.1, 20.0),
+    )
+    def test_array_matches_scalar_formula(self, sinrs, bler, max_se):
+        # numpy's log2/power may differ from math's by an ulp; rounding
+        # 1 + 10**(x/10) to a double bounds both formulas' accuracy below SE 1
+        got = sinr_to_se(np.array(sinrs), bler, max_se=max_se)
+        backoff = -math.log10(bler)
+        want = np.array([min(max_se, 0.75 * math.log2(1.0 + 10.0 ** ((s - backoff) / 10.0))) for s in sinrs])
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.maximum(want, 1.0)))
+        assert np.all(got <= max_se)
 
 
 class TestDlSinr:
@@ -201,6 +285,35 @@ class TestUlSinr:
         weak = RadioConfig(antenna=AasAntenna(suppression_db=0.0))
         strong = RadioConfig(antenna=AasAntenna(suppression_db=20.0))
         assert ul_sinr(p, sc, band, strong, 1.0) >= ul_sinr(p, sc, band, weak, 1.0)
+
+
+class TestLinkPowers:
+    @pytest.mark.parametrize("antenna", ["omni", "das", "aas"])
+    @pytest.mark.parametrize("n_gnbs", [3, 12])
+    def test_split_equals_one_shot(self, antenna, n_gnbs):
+        radio = {
+            "omni": RadioConfig(),
+            "das": RadioConfig(antenna=DasAntenna(), gnb_nf_db=19.0),
+            "aas": RadioConfig(antenna=AasAntenna()),
+        }[antenna]
+        sc = scenario_with(default_gnb_layout(n_gnbs, HALL))
+        band = tdd_band()
+        rng = np.random.default_rng(7)
+        ues = np.column_stack([rng.uniform(0, 120, 300), rng.uniform(0, 50, 300), np.full(300, 1.5)])
+        links = build_links(sc, radio, ues, np.random.default_rng(1), np.random.default_rng(2))
+        dl_powers = link_powers(links, radio, band, "DL")
+        ul_powers = link_powers(links, radio, band, "UL")
+        skewed = rng.uniform(0.01, 5.0, 300)
+        for activity in (1.0, 0.3, rng.uniform(0.0, 1.0, n_gnbs)):
+            want_dl = one_shot_dl_sinr(links, radio, band, activity)
+            assert dl_sinr_array(links, radio, band, activity).tolist() == want_dl.tolist()
+            assert dl_sinr_array(links, radio, band, activity, powers=dl_powers).tolist() == want_dl.tolist()
+            for weights in (None, skewed):
+                want_ul = one_shot_ul_sinr(links, radio, band, activity, weights)
+                got = ul_sinr_array(links, radio, band, activity, weights)
+                assert got.tolist() == want_ul.tolist()
+                got = ul_sinr_array(links, radio, band, activity, weights, powers=ul_powers)
+                assert got.tolist() == want_ul.tolist()
 
 
 class TestSinrGrid:
