@@ -6,24 +6,27 @@ while no cell exceeds its schedulable resources.  The scheduler is
 abstracted to deterministic resource accounting (per-cell utilization at
 most 1) - absolute numbers are scheduler-dependent, orderings between
 configurations are the meaningful output.  Interference load and cell
-utilization are coupled through a damped fixed point whose rounds reuse
-each drop's linear link powers; drops share a base seed with per-drop
-derivation so results are machine- and parallelism-independent.
+utilization are coupled through a monotone load map, whose iterates from
+full and from zero interferer load bracket its fixed point and so decide
+each drop exactly; a drop they leave undecided is a solver failure.  DL
+interferer load is each cell's activity; UL load is each UE's weight
+min(demand / supply, 1), which on a feasible drop is its share of its
+cell's resources.  Drops share a base seed with per-drop derivation so
+results are machine- and parallelism-independent.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from importlib import resources
-from typing import Literal, Optional
+from typing import Literal, Optional, Union
 
 import numpy as np
 import yaml
 
-from .errors import DomainError, InfeasibleLink
+from .errors import DomainError, SolverFailure
 from .propagation import FactoryScenario, drop_ues
 from .radiolink import (
     BandConfig,
@@ -111,26 +114,26 @@ def expected_transmissions(bler: float, attempts: int) -> float:
 
 def required_user_resources(
     use_case: UseCaseSpec,
-    sinr_db: float,
+    sinr_db: Union[float, np.ndarray],
     attempts: int,
     model: ResourceModel,
-) -> float:
-    """RB-symbols per second one user needs at the given link quality.
+) -> Union[float, np.ndarray]:
+    """RB-symbols per second each user needs at the given link quality.
 
     The per-attempt BLER target splits the reliability budget over the
     attempts the latency bound allows; the expected transmission count
-    multiplies the single-shot resource demand.
+    multiplies the single-shot resource demand.  ``sinr_db`` is a scalar or
+    an array; the result has its shape and is ``inf`` where the spectral
+    efficiency is 0.
     """
     if attempts < 1:
         raise DomainError("attempts must be >= 1")
     bler = per_attempt_bler_target(use_case.network_reliability, attempts)
     se = sinr_to_se(sinr_db, bler)
-    if se <= 0.0:
-        raise InfeasibleLink("zero spectral efficiency at this SINR")
     bits_per_message = 8.0 * use_case.message_size_bytes
-    hz_s_per_message = bits_per_message / se * expected_transmissions(bler, attempts)
-    messages_per_second = 1000.0 / use_case.cycle_time_ms
-    return hz_s_per_message * messages_per_second / RB_SYMBOL_HZ_S
+    messages_per_rb_symbol = 1000.0 / use_case.cycle_time_ms / RB_SYMBOL_HZ_S
+    with np.errstate(divide="ignore"):
+        return bits_per_message / se * expected_transmissions(bler, attempts) * messages_per_rb_symbol
 
 
 def link_attempts(
@@ -160,8 +163,6 @@ def default_scheduling(band: BandConfig) -> SchedulingConfig:
 @dataclass(frozen=True)
 class LoadResult:
     feasible: bool
-    worst_utilization: float
-    failures: int
 
 
 @dataclass(frozen=True)
@@ -178,12 +179,11 @@ class CapacityResult:
             raise DomainError("combined capacity must be min(dl, ul)")
 
 
-_FIXED_POINT_ROUNDS = 10
-_FIXED_POINT_DAMPING = 0.5
-_FIXED_POINT_TOL = 1e-3
+# rounds of the load certificate before a drop counts as undecided
+_CERTIFICATE_ROUNDS = 200
 
 
-def _drop_utilization(
+def _drop_feasible(
     links: SnapshotLinks,
     band: BandConfig,
     radio: RadioConfig,
@@ -192,63 +192,46 @@ def _drop_utilization(
     attempts: int,
     model: ResourceModel,
     supply: float,
-) -> tuple[np.ndarray, int]:
-    """Per-cell utilization for one drop via the damped activity fixed point.
+) -> bool:
+    """Decide whether one drop's load fits every cell, by a two-sided certificate.
 
-    The link powers are computed once per drop; each round applies its
-    activity and interferer weights to them and maps all SINRs to demands
-    in one array call.  Returns (utilization per cell, infeasible-link
-    count).  Non-convergence falls back to full activity (conservative).
+    One round maps an interferer state to SINRs, demands and the next
+    state.  The map is monotone: more interferer load means lower SINR and
+    so more demand.  Iterates from full load are therefore upper bounds of
+    its fixed point and iterates from zero load lower bounds (Yates, IEEE
+    JSAC 1995).  The drop is feasible once an upper iterate has every
+    cell's utilization within 1 and no zero-SE link, and infeasible once a
+    lower iterate has not.  The DL state is each cell's activity, the UL
+    state each UE's interferer weight min(demand / supply, 1).  A drop left
+    undecided after ``_CERTIFICATE_ROUNDS`` rounds raises SolverFailure.
     """
     n_cells = links.n_cells
-    n_users = links.coupling_db.shape[0]
-    if n_users == 0:
-        return np.zeros(n_cells), 0
-
-    bler = per_attempt_bler_target(use_case.network_reliability, attempts)
-    e_tx = expected_transmissions(bler, attempts)
-    bits = 8.0 * use_case.message_size_bytes
-    per_msg = 1000.0 / use_case.cycle_time_ms / RB_SYMBOL_HZ_S
-
-    serving = links.serving if not links.is_das else np.zeros(n_users, dtype=int)
     powers = link_powers(links, radio, band, direction)
 
-    def demands(activity: np.ndarray, weights: Optional[np.ndarray]) -> tuple[np.ndarray, int]:
+    def step(state: np.ndarray) -> tuple[bool, np.ndarray]:
         if direction == "DL":
-            sinr = dl_sinr_array(links, radio, band, activity, powers=powers)
+            sinr = dl_sinr_array(links, radio, band, state, powers=powers)
         else:
-            sinr = ul_sinr_array(links, radio, band, activity, interferer_weights=weights, powers=powers)
-        se = sinr_to_se(sinr, bler)
-        bad = int(np.count_nonzero(se <= 0.0))
-        dem = np.where(se > 0.0, bits / np.maximum(se, 1e-12) * e_tx * per_msg, np.inf)
-        return dem, bad
+            # each cell's activity is the sum of its weights, so ul_sinr_array keeps them as given
+            activity = np.bincount(links.serving, weights=state, minlength=n_cells)
+            sinr = ul_sinr_array(links, radio, band, activity, interferer_weights=state, powers=powers)
+        demand = required_user_resources(use_case, sinr, attempts, model)
+        util = np.bincount(links.serving, weights=demand, minlength=n_cells) / supply
+        fits = bool(np.all(util <= 1.0 + 1e-9))
+        return fits, np.minimum(util if direction == "DL" else demand / supply, 1.0)
 
-    def utilization(dem: np.ndarray) -> np.ndarray:
-        util = np.zeros(n_cells)
-        np.add.at(util, serving, dem)
-        return util / supply
-
-    activity = np.ones(n_cells)
-    weights = None
-    converged = False
-    for _ in range(_FIXED_POINT_ROUNDS):
-        dem, _ = demands(activity, weights)
-        if not np.all(np.isfinite(dem)):
-            break
-        target = np.clip(utilization(dem), 0.0, 1.0)
-        weights = dem
-        if np.max(np.abs(target - activity)) < _FIXED_POINT_TOL:
-            activity = target
-            converged = True
-            break
-        activity = _FIXED_POINT_DAMPING * activity + (1.0 - _FIXED_POINT_DAMPING) * target
-    if not converged:
-        activity = np.ones(n_cells)
-
-    dem, bad = demands(activity, weights)
-    if not np.all(np.isfinite(dem)):
-        return np.full(n_cells, np.inf), bad
-    return utilization(dem), bad
+    size = n_cells if direction == "DL" else len(links.serving)
+    upper, lower = np.ones(size), np.zeros(size)
+    for _ in range(_CERTIFICATE_ROUNDS):
+        fits, upper = step(upper)
+        if fits:
+            return True
+        fits, lower = step(lower)
+        if not fits:
+            return False
+    raise SolverFailure(
+        f"{direction} load of {len(links.serving)} users undecided after {_CERTIFICATE_ROUNDS} certificate rounds"
+    )
 
 
 def _evaluate_drop(
@@ -262,32 +245,18 @@ def _evaluate_drop(
     attempts: dict[Direction, int],
     model: ResourceModel,
     directions: tuple[Direction, ...],
-) -> tuple[bool, float, int]:
+) -> bool:
     positions = drop_ues(scenario, n_users, [seed, drop, 0])
     rng_los = np.random.default_rng([seed, drop, 1])
     rng_shadow = np.random.default_rng([seed, drop, 2])
     links = build_links(scenario, radio, positions, rng_los, rng_shadow)
-
-    feasible = True
-    worst = 0.0
-    failures = 0
-    pattern = band.tdd_pattern
-    for direction in directions:
-        supply = resources_per_second(band, pattern, direction, model)
-        util, bad = _drop_utilization(
-            links, band, radio, use_case, direction, attempts[direction], model, supply
+    return all(
+        _drop_feasible(
+            links, band, radio, use_case, direction, attempts[direction], model,
+            resources_per_second(band, band.tdd_pattern, direction, model),
         )
-        failures += bad
-        over = util > 1.0 + 1e-9
-        failures += int(np.count_nonzero(over))
-        if bad or np.any(over):
-            feasible = False
-        finite = util[np.isfinite(util)]
-        if len(finite):
-            worst = max(worst, float(finite.max()))
-        else:
-            worst = math.inf
-    return feasible, worst, failures
+        for direction in directions
+    )
 
 
 def evaluate_load(
@@ -324,7 +293,7 @@ def evaluate_load(
     for direction in directions:
         fit = link_attempts(band, sched, direction, use_case.latency_bound_ms)
         if not fit.initial_fits:
-            return LoadResult(feasible=n_users == 0, worst_utilization=math.inf, failures=n_users)
+            return LoadResult(feasible=n_users == 0)
         attempts[direction] = fit.attempts
 
     args = [
@@ -338,13 +307,10 @@ def evaluate_load(
     else:
         results = [_evaluate_drop_star(a) for a in args]
 
-    feasible = all(r[0] for r in results)
-    worst = max(r[1] for r in results)
-    failures = sum(r[2] for r in results)
-    return LoadResult(feasible=feasible, worst_utilization=worst, failures=failures)
+    return LoadResult(feasible=all(results))
 
 
-def _evaluate_drop_star(args) -> tuple[bool, float, int]:
+def _evaluate_drop_star(args) -> bool:
     return _evaluate_drop(*args)
 
 

@@ -424,7 +424,7 @@ def build_parser() -> _Parser:
     p_co.add_argument("--indoor", required=True, help="indoor pattern, e.g. DDDDUDDDUU")
     p_co.add_argument("--outdoor", required=True, help="outdoor pattern, e.g. DDDDU")
     p_co.add_argument("--separation", type=_nonnegative_float, default=1.0, help="UE separation in m")
-    p_co.add_argument("--wall-loss", type=float, default=8.0, help="window/wall loss in dB")
+    p_co.add_argument("--wall-loss", type=_nonnegative_float, default=8.0, help="window/wall loss in dB")
     p_co.add_argument("--offset", type=int, default=0, help="outdoor slot offset (exploratory)")
     p_co.add_argument("--find-safe", type=_positive_int, metavar="LENGTH", help="list safe indoor patterns")
     p_co.add_argument("--min-ul", type=int, default=1)

@@ -33,10 +33,6 @@ class NoGnb(NrFactoryError):
     """A scenario without base stations cannot produce link metrics."""
 
 
-class InfeasibleLink(NrFactoryError):
-    """A link cannot carry the requested traffic (zero spectral efficiency)."""
-
-
 class SolverFailure(NrFactoryError):
     """Numerical breakdown in an optimization routine (distinct from infeasibility)."""
 

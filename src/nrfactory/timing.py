@@ -144,10 +144,11 @@ def _load_default_processing_table() -> dict[tuple[str, str, int], float]:
 
 
 def default_processing_table() -> dict[tuple[str, str, int], float]:
-    """TR 37.910-style processing times in symbols, from the shipped data file."""
-    table = _load_default_processing_table()
-    _validate_processing_table(table)
-    return table
+    """TR 37.910-style processing times in symbols, from the shipped data file.
+
+    The file is read and validated once, at import; each call returns a copy.
+    """
+    return dict(_DEFAULT_PROCESSING_TABLE)
 
 
 def _validate_processing_table(table: dict[tuple[str, str, int], float]) -> None:
@@ -160,6 +161,10 @@ def _validate_processing_table(table: dict[tuple[str, str, int], float]) -> None
                 raise DomainError(
                     f"cap2 processing exceeds cap1 for {(channel, scs)}: {symbols} > {cap1}"
                 )
+
+
+_DEFAULT_PROCESSING_TABLE = _load_default_processing_table()
+_validate_processing_table(_DEFAULT_PROCESSING_TABLE)
 
 
 @dataclass(frozen=True)

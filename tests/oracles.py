@@ -137,3 +137,91 @@ def inf_pathloss_oracle(scenario_type: str, los: bool, d3d_m: float, fc_ghz: flo
     else:
         raise ValueError(scenario_type)
     return max(pl_nlos, pl_los)
+
+
+def _lin(db: float) -> float:
+    return 10.0 ** (db / 10.0)
+
+
+def link_se_oracle(sinr_db: float, bler: float) -> float:
+    """Attenuated Shannon with a 1 dB per BLER decade backoff, capped at 7.4."""
+    backoff = -math.log10(bler)
+    return min(7.4, 0.75 * math.log2(1.0 + _lin(sinr_db - backoff)))
+
+
+def load_oracle(
+    coupling_db,
+    direction: str,
+    radio: dict,
+    bler: float,
+    attempts: int,
+    message_bytes: float,
+    cycle_ms: float,
+    supply: float,
+    tol: float = 1e-12,
+    max_rounds: int = 100_000,
+):
+    """Fixed point of one drop's load map, by scalar loops over the links.
+
+    ``coupling_db[n][g]`` is the loss from UE n to gNB g without antenna
+    gains; each UE is served by its least-loss gNB.  ``radio`` holds plain
+    numbers: tx powers and antenna gains (dBm, dBi), ``noise_dbm`` of the
+    receiver in this direction, and the UL power control's ``p0_dbm`` and
+    ``alpha``.  The DL state is each cell's activity, the UL state each
+    UE's interferer weight min(demand / supply, 1); the map is iterated
+    from full load until no state entry moves by more than ``tol``.
+
+    Returns (feasible, worst utilization at the fixed point), or None when
+    the iteration does not settle within ``max_rounds``.
+    """
+    n_ue, n_cells = len(coupling_db), len(coupling_db[0])
+    serving = [min(range(n_cells), key=lambda g: coupling_db[n][g]) for n in range(n_ue)]
+    noise = _lin(radio["noise_dbm"])
+    e_tx = sum(bler**i for i in range(attempts))
+    rb_symbol_hz_s = 12 * 15e3 * 1e-3 / 14
+
+    if direction == "UL":
+        eff = [coupling_db[n][serving[n]] - radio["gain_serve"] - radio["ue_gain"] for n in range(n_ue)]
+        p_tx = [min(radio["ue_tx_max"], radio["p0_dbm"] + radio["alpha"] * max(e, 1e-6)) for e in eff]
+
+    def sinr_db(state):
+        out = []
+        for n in range(n_ue):
+            s = serving[n]
+            interference = 0.0
+            if direction == "DL":
+                signal = _lin(radio["gnb_tx"] + radio["gain_serve"] + radio["ue_gain"] - coupling_db[n][s])
+                for g in range(n_cells):
+                    if g != s:
+                        rx = _lin(radio["gnb_tx"] + radio["gain_interf"] + radio["ue_gain"] - coupling_db[n][g])
+                        interference += state[g] * rx
+            else:
+                signal = _lin(p_tx[n] - eff[n])
+                for m in range(n_ue):
+                    if serving[m] != s:
+                        loss = coupling_db[m][s] - radio["gain_interf"] - radio["ue_gain"]
+                        interference += state[m] * _lin(p_tx[m] - loss)
+            out.append(10.0 * math.log10(signal / (interference + noise)))
+        return out
+
+    def demands(state):
+        dem = []
+        for x in sinr_db(state):
+            se = link_se_oracle(x, bler)
+            dem.append(math.inf if se <= 0.0 else 8.0 * message_bytes / se * e_tx * 1000.0 / cycle_ms / rb_symbol_hz_s)
+        return dem
+
+    def utilization(dem):
+        return [sum(d for d, s in zip(dem, serving) if s == c) / supply for c in range(n_cells)]
+
+    state = [1.0] * (n_cells if direction == "DL" else n_ue)
+    for _ in range(max_rounds):
+        dem = demands(state)
+        util = utilization(dem)
+        new = [min(u, 1.0) for u in util] if direction == "DL" else [min(d / supply, 1.0) for d in dem]
+        settled = max(abs(a - b) for a, b in zip(new, state)) <= tol
+        state = new
+        if settled:
+            worst = max(utilization(demands(state)))
+            return worst <= 1.0, worst
+    return None

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from nrfactory import capacity
 from nrfactory.cli import main
 
 
@@ -100,6 +101,17 @@ class TestCapacityCommand:
             row = next(csv.DictReader(fh))
         assert int(row["combined_users"]) == min(int(row["max_dl_users"]), int(row["max_ul_users"]))
 
+    def test_undecided_load_is_a_solver_failure(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(capacity, "_CERTIFICATE_ROUNDS", 1)
+        args = [
+            "capacity", "--preset", "tdd3800", "--pattern", "DUDU", "--usecase", "UC1",
+            "--gnbs", "3", "--drops", "2", "--seed", "1", "-o", str(tmp_path / "c.csv"),
+        ]
+        assert main(args) == 2
+        stderr = capsys.readouterr().err
+        assert "solver failure:" in stderr
+        assert "Traceback" not in stderr
+
 
 class TestSinrMapCommand:
     def test_grid_csv(self, tmp_path):
@@ -185,6 +197,9 @@ def test_command_runs_on_every_preset(preset, argv, tmp_path):
         ["coexist", "--indoor", "DDDU", "--outdoor", "DDDDU", "--separation", "nan"],
         ["coexist", "--indoor", "DDDU", "--outdoor", "DDDDU", "--separation", "inf"],
         ["coexist", "--indoor", "DDDU", "--outdoor", "DDDDU", "--separation", "-5"],
+        ["coexist", "--indoor", "DDDU", "--outdoor", "DDDDU", "--wall-loss", "nan"],
+        ["coexist", "--indoor", "DDDU", "--outdoor", "DDDDU", "--wall-loss", "inf"],
+        ["coexist", "--indoor", "DDDU", "--outdoor", "DDDDU", "--wall-loss", "-5"],
         ["coexist", "--indoor", "DDDU", "--outdoor", "DDDDU", "--find-safe", "0"],
         ["sinr-map", "--gnbs", "0"],
         ["sinr-map", "--tti", "-2"],
