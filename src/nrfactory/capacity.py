@@ -12,16 +12,21 @@ each drop exactly; a drop they leave undecided is a solver failure.  DL
 interferer load is each cell's activity; UL load is each UE's weight
 min(demand / supply, 1), which on a feasible drop is its share of its
 cell's resources.  Drops share a base seed with per-drop derivation so
-results are machine- and parallelism-independent.
+results are machine- and parallelism-independent.  Each drop's feasibility
+is monotone in the user count, and drops are nested (the first n users of
+a larger drop are the drop's n users), so the capacity is the minimum over
+drops of each drop's capacity: the search runs drop by drop, building each
+drop's links once, and tests a later drop only at the running minimum.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, ProcessPoolExecutor
-from contextlib import nullcontext
+import itertools
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from importlib import resources
-from typing import Literal, Optional, Union
+from typing import Iterator, Literal, Optional, Union
 
 import numpy as np
 import yaml
@@ -116,7 +121,6 @@ def required_user_resources(
     use_case: UseCaseSpec,
     sinr_db: Union[float, np.ndarray],
     attempts: int,
-    model: ResourceModel,
 ) -> Union[float, np.ndarray]:
     """RB-symbols per second each user needs at the given link quality.
 
@@ -190,7 +194,6 @@ def _drop_feasible(
     use_case: UseCaseSpec,
     direction: Direction,
     attempts: int,
-    model: ResourceModel,
     supply: float,
 ) -> bool:
     """Decide whether one drop's load fits every cell, by a two-sided certificate.
@@ -215,7 +218,7 @@ def _drop_feasible(
             # each cell's activity is the sum of its weights, so ul_sinr_array keeps them as given
             activity = np.bincount(links.serving, weights=state, minlength=n_cells)
             sinr = ul_sinr_array(links, radio, band, activity, interferer_weights=state, powers=powers)
-        demand = required_user_resources(use_case, sinr, attempts, model)
+        demand = required_user_resources(use_case, sinr, attempts)
         util = np.bincount(links.serving, weights=demand, minlength=n_cells) / supply
         fits = bool(np.all(util <= 1.0 + 1e-9))
         return fits, np.minimum(util if direction == "DL" else demand / supply, 1.0)
@@ -234,6 +237,32 @@ def _drop_feasible(
     )
 
 
+class _Drop:
+    """One seeded drop, its links built once at the largest user count asked for.
+
+    Positions (``drop_ues``) and LOS and shadowing (``sampled_coupling_db``)
+    are drawn user-major, so the first n rows of the drop's links at a
+    larger count are its links at n.  A count above the built one rebuilds
+    at max(n, 2 x built).
+    """
+
+    def __init__(self, scenario: FactoryScenario, radio: RadioConfig, seed: int, drop: int):
+        self.scenario, self.radio, self.seed, self.drop = scenario, radio, seed, drop
+        self._links: Optional[SnapshotLinks] = None
+
+    def links(self, n_users: int) -> SnapshotLinks:
+        built = self._links
+        if built is None or n_users > len(built.serving):
+            size = n_users if built is None else max(n_users, 2 * len(built.serving))
+            positions = drop_ues(self.scenario, size, [self.seed, self.drop, 0])
+            rng_los = np.random.default_rng([self.seed, self.drop, 1])
+            rng_shadow = np.random.default_rng([self.seed, self.drop, 2])
+            built = self._links = build_links(self.scenario, self.radio, positions, rng_los, rng_shadow)
+        if n_users == len(built.serving):
+            return built
+        return SnapshotLinks(built.coupling_db[:n_users], built.serving[:n_users], built.is_das)
+
+
 def _evaluate_drop(
     scenario: FactoryScenario,
     band: BandConfig,
@@ -242,21 +271,23 @@ def _evaluate_drop(
     n_users: int,
     seed: int,
     drop: int,
-    attempts: dict[Direction, int],
-    model: ResourceModel,
-    directions: tuple[Direction, ...],
+    setup: dict[Direction, tuple[int, float]],
 ) -> bool:
-    positions = drop_ues(scenario, n_users, [seed, drop, 0])
-    rng_los = np.random.default_rng([seed, drop, 1])
-    rng_shadow = np.random.default_rng([seed, drop, 2])
-    links = build_links(scenario, radio, positions, rng_los, rng_shadow)
+    links = _Drop(scenario, radio, seed, drop).links(n_users)
     return all(
-        _drop_feasible(
-            links, band, radio, use_case, direction, attempts[direction], model,
-            resources_per_second(band, band.tdd_pattern, direction, model),
-        )
-        for direction in directions
+        _drop_feasible(links, band, radio, use_case, direction, attempts, supply)
+        for direction, (attempts, supply) in setup.items()
     )
+
+
+def _direction_setup(
+    band: BandConfig, sched: SchedulingConfig, model: ResourceModel, use_case: UseCaseSpec, direction: Direction
+) -> Optional[tuple[int, float]]:
+    """(attempts, supply) of one direction, or None when not even the first attempt meets the bound."""
+    fit = link_attempts(band, sched, direction, use_case.latency_bound_ms)
+    if not fit.initial_fits:
+        return None
+    return fit.attempts, resources_per_second(band, band.tdd_pattern, direction, model)
 
 
 def evaluate_load(
@@ -271,14 +302,14 @@ def evaluate_load(
     model: Optional[ResourceModel] = None,
     directions: tuple[Direction, ...] = ("DL", "UL"),
     workers: int = 1,
-    _pool: Optional[Executor] = None,
 ) -> LoadResult:
     """Check whether ``n_users`` can be served in every drop.
 
-    Infeasibility is a result, not an error.  Results are bit-identical
-    for a fixed (seed, n_drops) regardless of ``workers``.  ``_pool`` is a
-    capacity search's shared process pool; without it, ``workers > 1``
-    opens one for this call.
+    Infeasibility is a result, not an error.  The drops are decided in
+    order and the first infeasible one decides the call, also on
+    ``workers > 1`` processes, so results (and a SolverFailure of a later
+    drop) are the same for a fixed (seed, n_drops) regardless of
+    ``workers``.
     """
     if n_users < 0:
         raise DomainError("n_users must be >= 0")
@@ -289,55 +320,70 @@ def evaluate_load(
     if model is None:
         model = ResourceModel.from_band(band)
 
-    attempts: dict[Direction, int] = {}
-    for direction in directions:
-        fit = link_attempts(band, sched, direction, use_case.latency_bound_ms)
-        if not fit.initial_fits:
-            return LoadResult(feasible=n_users == 0)
-        attempts[direction] = fit.attempts
+    setup = {direction: _direction_setup(band, sched, model, use_case, direction) for direction in directions}
+    if None in setup.values():
+        return LoadResult(feasible=n_users == 0)
 
-    args = [
-        (scenario, band, radio, use_case, n_users, seed, drop, attempts, model, directions)
-        for drop in range(n_drops)
-    ]
+    args = [(scenario, band, radio, use_case, n_users, seed, drop, setup) for drop in range(n_drops)]
+    # closing shuts a pool down, cancelling the drops not yet started, once one drop is infeasible
+    with closing(_starmap(_evaluate_drop, args, workers)) as results:
+        return LoadResult(feasible=all(results))
+
+
+def _starmap(fn, args: list[tuple], workers: int) -> Iterator:
+    """``fn(*a)`` for each ``a`` in order, on a pool of ``workers`` processes when that is more than one."""
     if workers > 1:
-        opened = nullcontext(_pool) if _pool is not None else ProcessPoolExecutor(max_workers=workers)
-        with opened as pool:
-            results = list(pool.map(_evaluate_drop_star, args))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(fn, *zip(*args))
     else:
-        results = [_evaluate_drop_star(a) for a in args]
-
-    return LoadResult(feasible=all(results))
+        yield from itertools.starmap(fn, args)
 
 
-def _evaluate_drop_star(args) -> bool:
-    return _evaluate_drop(*args)
-
-
-def _search_direction(
-    scenario, band, radio, use_case, direction, n_drops, seed, sched, model, workers, pool
+def _search_drops(
+    scenario: FactoryScenario,
+    band: BandConfig,
+    radio: RadioConfig,
+    use_case: UseCaseSpec,
+    direction: Direction,
+    seed: int,
+    drops: range,
+    attempts: int,
+    supply: float,
 ) -> int:
-    def ok(n: int) -> bool:
-        return evaluate_load(
-            scenario, band, radio, use_case, n, n_drops, seed, sched, model,
-            directions=(direction,), workers=workers, _pool=pool,
-        ).feasible
+    """The most users every drop in ``drops`` serves in one direction.
 
-    if not ok(1):
-        return 0
-    lo, hi = 1, 2
-    while ok(hi):
-        lo = hi
-        hi *= 2
-        if hi > 1 << 22:
-            raise DomainError("capacity search diverged; check the resource model")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            lo = mid
+    That is the minimum over the drops of each drop's capacity, since each
+    drop's feasibility is monotone in n.  The first drop is searched fully
+    (probe 1, double, bisect); each later drop is tested only at the
+    running minimum, and bisected below it when that test fails.
+    """
+    cap: Optional[int] = None
+    for index in drops:
+        drop = _Drop(scenario, radio, seed, index)
+
+        def ok(n: int) -> bool:
+            return _drop_feasible(drop.links(n), band, radio, use_case, direction, attempts, supply)
+
+        if cap is None:
+            lo, hi = 0, 1
+            while ok(hi):
+                lo, hi = hi, 2 * hi
+                if hi > 1 << 22:
+                    raise DomainError("capacity search diverged; check the resource model")
+        elif ok(cap):
+            continue
         else:
-            hi = mid
-    return lo
+            lo, hi = 0, cap
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if ok(mid):
+                lo = mid
+            else:
+                hi = mid
+        cap = lo
+        if cap == 0:
+            break
+    return cap
 
 
 def se_per_cell(
@@ -370,22 +416,38 @@ def max_served_users(
     model: Optional[ResourceModel] = None,
     workers: int = 1,
 ) -> CapacityResult:
-    """Binary-search the per-direction capacity; combined is their minimum.
+    """Per-direction capacity, the minimum over drops; combined is their minimum.
 
-    With ``workers > 1`` every probe of both searches runs on one process pool.
+    The drops are split into ``workers`` interleaved sets, each searched by
+    a running minimum; the capacity is the minimum over the sets, so it
+    does not depend on ``workers``.  With ``workers > 1`` the sets of both
+    directions run on one process pool.
     """
     from .radiolink import DasAntenna
 
+    if n_drops < 1:
+        raise DomainError("n_drops must be >= 1")
+    if sched is None:
+        sched = default_scheduling(band)
+    if model is None:
+        model = ResourceModel.from_band(band)
+    n_sets = max(1, min(workers, n_drops))
+    tasks: dict[Direction, list[tuple]] = {}
+    for direction in ("DL", "UL"):
+        setup = _direction_setup(band, sched, model, use_case, direction)
+        tasks[direction] = [] if setup is None else [
+            (scenario, band, radio, use_case, direction, seed, range(i, n_drops, n_sets), *setup)
+            for i in range(n_sets)
+        ]
+    caps = list(_starmap(_search_drops, tasks["DL"] + tasks["UL"], workers))
+    n_dl = len(tasks["DL"])
+    dl, ul = min(caps[:n_dl], default=0), min(caps[n_dl:], default=0)
+
     n_cells = 1 if isinstance(radio.antenna, DasAntenna) else max(len(scenario.gnb_positions), 1)
-    opened = ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
-    with opened as pool:
-        dl = _search_direction(scenario, band, radio, use_case, "DL", n_drops, seed, sched, model, workers, pool)
-        ul = _search_direction(scenario, band, radio, use_case, "UL", n_drops, seed, sched, model, workers, pool)
-    combined = min(dl, ul)
     return CapacityResult(
         max_users_dl=dl,
         max_users_ul=ul,
-        combined=combined,
+        combined=min(dl, ul),
         se_per_cell_dl=se_per_cell(dl, use_case, band, "DL", n_cells),
         se_per_cell_ul=se_per_cell(ul, use_case, band, "UL", n_cells),
         drops_evaluated=n_drops,

@@ -225,3 +225,27 @@ def load_oracle(
             worst = max(utilization(demands(state)))
             return worst <= 1.0, worst
     return None
+
+
+def search_oracle(feasible, limit: int = 1 << 22) -> int:
+    """Largest n with ``feasible(n)``, by probing 1, doubling, then bisecting.
+
+    The capacity search as it was before the per-drop search: every probe
+    asks the whole predicate, here all drops at once.  A doubling past
+    ``limit`` raises ValueError.
+    """
+    if not feasible(1):
+        return 0
+    lo, hi = 1, 2
+    while feasible(hi):
+        lo = hi
+        hi *= 2
+        if hi > limit:
+            raise ValueError("search diverged")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo

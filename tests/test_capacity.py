@@ -26,7 +26,7 @@ from nrfactory.radiolink import AasAntenna, BandConfig, DasAntenna, OmniAntenna,
 from nrfactory.timing import SchedulingConfig, TddPattern
 from nrfactory.usecases import UseCaseSpec, find_use_case
 
-from oracles import load_oracle
+from oracles import load_oracle, search_oracle
 
 HALL = Hall(120.0, 50.0, 10.0)
 
@@ -105,14 +105,13 @@ class TestRequiredResources:
             latency_bound_ms=10.0, network_reliability=0.9999,
             survival_time_cycles=0, csa_nines=(4, 4),
         )
-        model = ResourceModel.from_band(band())
         # pick a SINR where link adaptation yields se, then invert by hand
         from nrfactory.radiolink import sinr_to_se
         from nrfactory.usecases import per_attempt_bler_target
 
         attempts = 1
         se = sinr_to_se(20.0, per_attempt_bler_target(0.9999, attempts))
-        got = required_user_resources(uc, 20.0, attempts, model)
+        got = required_user_resources(uc, 20.0, attempts)
         eps = per_attempt_bler_target(0.9999, attempts)
         expected = 8000.0 / se * (1.0) * 100.0 / RB_SYMBOL_HZ_S
         assert got == pytest.approx(expected, rel=1e-9)
@@ -124,9 +123,8 @@ class TestRequiredResources:
         )
         fast = UseCaseSpec(name="f", cycle_time_ms=5.0, **kw)
         slow = UseCaseSpec(name="s", cycle_time_ms=10.0, **kw)
-        model = ResourceModel.from_band(band())
-        assert required_user_resources(fast, 15.0, 1, model) == pytest.approx(
-            2 * required_user_resources(slow, 15.0, 1, model)
+        assert required_user_resources(fast, 15.0, 1) == pytest.approx(
+            2 * required_user_resources(slow, 15.0, 1)
         )
 
     def test_expected_transmissions(self):
@@ -140,12 +138,11 @@ class TestRequiredResources:
             latency_bound_ms=10.0, network_reliability=0.99,
             survival_time_cycles=0, csa_nines=(2, 2),
         )
-        model = ResourceModel.from_band(band())
         from nrfactory.radiolink import sinr_to_se
         from nrfactory.usecases import per_attempt_bler_target
 
-        one = required_user_resources(uc, 18.0, 1, model)
-        two = required_user_resources(uc, 18.0, 2, model)
+        one = required_user_resources(uc, 18.0, 1)
+        two = required_user_resources(uc, 18.0, 2)
         eps2 = per_attempt_bler_target(0.99, 2)
         se1 = sinr_to_se(18.0, per_attempt_bler_target(0.99, 1))
         se2 = sinr_to_se(18.0, eps2)
@@ -154,7 +151,7 @@ class TestRequiredResources:
     def test_attempt_validation(self):
         uc = find_use_case("UC1")
         with pytest.raises(DomainError):
-            required_user_resources(uc, 10.0, 0, ResourceModel.from_band(band()))
+            required_user_resources(uc, 10.0, 0)
 
 
 def oracle_radio(radio: RadioConfig, direction: str) -> dict:
@@ -202,9 +199,7 @@ class TestLoadCertificate:
         expected = load_oracle(*args, supply=supply)
         assume(expected is not None and abs(expected[1] - 1.0) > 1e-6)
         b = band("DUDU")
-        got = capacity._drop_feasible(
-            links, b, radio, uc, direction, attempts, ResourceModel.from_band(b), supply
-        )
+        got = capacity._drop_feasible(links, b, radio, uc, direction, attempts, supply)
         assert got == expected[0]
 
     @pytest.mark.parametrize("direction, n_users, seed", [("DL", 121, 1), ("DL", 121, 2), ("UL", 14, 3)])
@@ -318,6 +313,21 @@ class TestEvaluateLoad:
         c = evaluate_load(sc, b, RadioConfig(), uc, 50, n_drops=4, seed=9, workers=2)
         assert a == c
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_infeasible_drop_decides(self, monkeypatch, workers):
+        """Drop 0 is infeasible, so the SolverFailure of drop 1 never surfaces."""
+        sc, b, radio, uc = scenario(3), band("DUDU"), RadioConfig(), find_use_case("UC1")
+        first = capacity._Drop(sc, radio, 1, 0).links(5)
+
+        def feasible(links, *args):
+            if np.array_equal(links.coupling_db, first.coupling_db):
+                return False
+            raise SolverFailure("a later drop")
+
+        monkeypatch.setattr(capacity, "_drop_feasible", feasible)
+        res = evaluate_load(sc, b, radio, uc, 5, n_drops=3, seed=1, directions=("DL",), workers=workers)
+        assert res.feasible is False
+
 
 class TestCapacityResult:
     def test_combined_is_min(self):
@@ -425,3 +435,48 @@ class TestDeploymentPaths:
         result = max_served_users(sc, b, radio, find_use_case("UC7"), n_drops=2, seed=1)
         assert result.combined >= 1
         assert result.combined == min(result.max_users_dl, result.max_users_ul)
+
+
+class TestPerDropSearch:
+    @pytest.mark.parametrize("antenna", [OmniAntenna(), AasAntenna(), DasAntenna(n_heads=3)], ids=["omni", "aas", "das"])
+    def test_slices_are_exact(self, antenna):
+        """A drop built at a larger count gives, sliced, the links built at n."""
+        sc, radio, seed, index = scenario(3), RadioConfig(antenna=antenna), 7, 2
+        drop = capacity._Drop(sc, radio, seed, index)
+        built = drop.links(150)
+        for n in (0, 1, 3, 7, 8, 9, 17, 100):
+            got = drop.links(n)
+            want = build_links(
+                sc, radio, drop_ues(sc, n, [seed, index, 0]),
+                np.random.default_rng([seed, index, 1]), np.random.default_rng([seed, index, 2]),
+            )
+            assert got.coupling_db.shape == want.coupling_db.shape == (n, 3)
+            assert (got.coupling_db == want.coupling_db).all()
+            assert (got.serving == want.serving).all()
+        assert drop.links(150) is built
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        antenna=st.sampled_from([OmniAntenna(), AasAntenna(), DasAntenna(n_heads=3)]),
+        n_drops=st.integers(1, 5),
+        use_case=st.sampled_from(["UC1", "UC7"]),
+        pattern=st.sampled_from(["DUDU", "DDDSU"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_whole_search(self, antenna, n_drops, use_case, pattern, seed):
+        """The per-drop running minimum equals probing all drops at once."""
+        sc, b, uc = scenario(3), band(pattern), find_use_case(use_case)
+        radio = RadioConfig(antenna=antenna, gnb_nf_db=5.0, ue_nf_db=9.0)
+        result = max_served_users(sc, b, radio, uc, n_drops=n_drops, seed=seed)
+        for direction, got in (("DL", result.max_users_dl), ("UL", result.max_users_ul)):
+            want = search_oracle(
+                lambda n: evaluate_load(sc, b, radio, uc, n, n_drops, seed, directions=(direction,)).feasible
+            )
+            assert got == want, direction
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_independent_of_workers(self, seed):
+        sc, b, uc = scenario(3), band("DUDU"), find_use_case("UC7")
+        radio = RadioConfig(gnb_nf_db=5.0, ue_nf_db=9.0)
+        serial = max_served_users(sc, b, radio, uc, n_drops=5, seed=seed)
+        assert max_served_users(sc, b, radio, uc, n_drops=5, seed=seed, workers=2) == serial
