@@ -38,6 +38,7 @@ from .radiolink import (
     RadioConfig,
     SnapshotLinks,
     build_links,
+    cell_count,
     dl_sinr_array,
     link_powers,
     sinr_to_se,
@@ -260,7 +261,7 @@ class _Drop:
             built = self._links = build_links(self.scenario, self.radio, positions, rng_los, rng_shadow)
         if n_users == len(built.serving):
             return built
-        return SnapshotLinks(built.coupling_db[:n_users], built.serving[:n_users], built.is_das)
+        return SnapshotLinks(built.coupling_db[:n_users], built.serving[:n_users])
 
 
 def _evaluate_drop(
@@ -423,8 +424,6 @@ def max_served_users(
     does not depend on ``workers``.  With ``workers > 1`` the sets of both
     directions run on one process pool.
     """
-    from .radiolink import DasAntenna
-
     if n_drops < 1:
         raise DomainError("n_drops must be >= 1")
     if sched is None:
@@ -443,7 +442,7 @@ def max_served_users(
     n_dl = len(tasks["DL"])
     dl, ul = min(caps[:n_dl], default=0), min(caps[n_dl:], default=0)
 
-    n_cells = 1 if isinstance(radio.antenna, DasAntenna) else max(len(scenario.gnb_positions), 1)
+    n_cells = max(cell_count(scenario, radio), 1)
     return CapacityResult(
         max_users_dl=dl,
         max_users_ul=ul,

@@ -150,7 +150,7 @@ def _parse_radio(data: dict, preset_radio: Optional[dict]) -> RadioConfig:
     merged: dict = dict(preset_radio or {})
     merged.update(data)
     allowed = {
-        "antenna", "omni_gain_dbi", "das_heads", "das_head_gain_dbi",
+        "antenna", "omni_gain_dbi", "das_head_gain_dbi",
         "aas_rows", "aas_cols", "aas_polarizations", "aas_element_gain_dbi",
         "aas_suppression_db", "gnb_tx_dbm", "ue_tx_max_dbm", "ue_gain_dbi",
         "gnb_nf_db", "ue_nf_db", "ul_snr_target_db", "ul_alpha",
@@ -161,10 +161,7 @@ def _parse_radio(data: dict, preset_radio: Optional[dict]) -> RadioConfig:
     if kind == "omni":
         antenna = OmniAntenna(gain_dbi=_get(merged, "omni_gain_dbi", 2.0, "radio", float))
     elif kind == "das":
-        antenna = DasAntenna(
-            n_heads=_get(merged, "das_heads", 12, "radio", int),
-            head_gain_dbi=_get(merged, "das_head_gain_dbi", 0.0, "radio", float),
-        )
+        antenna = DasAntenna(head_gain_dbi=_get(merged, "das_head_gain_dbi", 0.0, "radio", float))
     elif kind == "aas":
         antenna = AasAntenna(
             rows=_get(merged, "aas_rows", 4, "radio", int),
@@ -454,7 +451,6 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
         radio_out["omni_gain_dbi"] = radio.antenna.gain_dbi
     elif isinstance(radio.antenna, DasAntenna):
         radio_out["antenna"] = "das"
-        radio_out["das_heads"] = radio.antenna.n_heads
         radio_out["das_head_gain_dbi"] = radio.antenna.head_gain_dbi
     else:
         radio_out["antenna"] = "aas"

@@ -2,10 +2,12 @@
 
 Deployment abstractions follow the three evaluated antenna options: an
 omnidirectional gNB antenna, a distributed antenna system (DAS) whose heads
-form one cell (signal is the power sum over heads, no intercell
-interference), and an advanced antenna system (AAS) panel modeled as a flat
-array gain toward the served UE plus a configurable suppression toward
-victims of interference.  Interferer load enters as a scalar activity
+(the scenario's gNB positions) form one cell, and an advanced antenna
+system (AAS) panel modeled as a flat array gain toward the served UE plus a
+configurable suppression toward victims of interference.  ``build_links``
+is where the option decides the cells: one per gNB site, or for DAS a
+single cell whose coupling is the power sum over the heads, so it has no
+intercell interference.  Interferer load enters as a scalar activity
 fraction per cell (snapshot methodology; no traffic traces).
 """
 
@@ -39,7 +41,6 @@ class OmniAntenna:
 
 @dataclass(frozen=True)
 class DasAntenna:
-    n_heads: int = 12
     head_gain_dbi: float = 0.0
 
 
@@ -213,15 +214,19 @@ def sampled_coupling_db(
 
 @dataclass
 class SnapshotLinks:
-    """Large-scale coupling of N UEs to G gNB sites plus cell attachment."""
+    """Large-scale coupling of N UEs to C cells plus cell attachment."""
 
-    coupling_db: np.ndarray        # (N, G) pathloss incl. shadow, no antenna gains
-    serving: np.ndarray            # (N,) serving cell index (0 for DAS)
-    is_das: bool
+    coupling_db: np.ndarray        # (N, C) pathloss incl. shadow, no antenna gains
+    serving: np.ndarray            # (N,) serving cell index
 
     @property
     def n_cells(self) -> int:
-        return 1 if self.is_das else self.coupling_db.shape[1]
+        return self.coupling_db.shape[1]
+
+
+def cell_count(scenario: FactoryScenario, radio: RadioConfig) -> int:
+    """Cells of the deployment: one per gNB site, and one in all under DAS."""
+    return 1 if isinstance(radio.antenna, DasAntenna) else len(scenario.gnb_positions)
 
 
 def build_links(
@@ -233,8 +238,10 @@ def build_links(
 ) -> SnapshotLinks:
     """Attach UEs to the strongest large-scale cell under the antenna model.
 
-    Without generators the median channel (0 dB shadow, majority LOS state)
-    is used.
+    Every gNB site is a cell, except under DAS: its heads form one cell,
+    whose coupling is -10 log10(sum_h 10^(-c_h / 10)) over the heads'
+    couplings c_h.  Without generators the median channel (0 dB shadow,
+    majority LOS state) is used.
     """
     if (rng_los is None) != (rng_shadow is None):
         raise DomainError("pass both generators or neither")
@@ -243,14 +250,11 @@ def build_links(
         if rng_los is None
         else sampled_coupling_db(scenario, ue_positions, rng_los, rng_shadow)
     )
-    is_das = isinstance(radio.antenna, DasAntenna)
-    if is_das:
-        serving = np.zeros(len(ue_positions), dtype=int)
-    else:
-        gain = gnb_antenna_gain_db(radio.antenna, serving=True)
-        rx = radio.gnb_tx_dbm + gain + radio.ue_gain_dbi - coupling
-        serving = np.argmax(rx, axis=1)
-    return SnapshotLinks(coupling_db=coupling, serving=serving, is_das=is_das)
+    if isinstance(radio.antenna, DasAntenna):
+        coupling = -10.0 * np.log10(_db_to_lin(-coupling).sum(axis=1, keepdims=True))
+    gain = gnb_antenna_gain_db(radio.antenna, serving=True)
+    rx = radio.gnb_tx_dbm + gain + radio.ue_gain_dbi - coupling
+    return SnapshotLinks(coupling_db=coupling, serving=np.argmax(rx, axis=1))
 
 
 def _db_to_lin(x):
@@ -286,12 +290,11 @@ def link_powers(
 ) -> LinkPowers:
     """The activity-independent step of ``dl_sinr_array`` / ``ul_sinr_array``."""
     coupling = links.coupling_db
-    gain_serve = gnb_antenna_gain_db(radio.antenna, True)
     gain_interf = gnb_antenna_gain_db(radio.antenna, False)
     if direction == "DL":
-        rx_serve = _db_to_lin(radio.gnb_tx_dbm + gain_serve + radio.ue_gain_dbi - coupling)
-        idx = np.arange(coupling.shape[0])
-        signal = rx_serve.sum(axis=1) if links.is_das else rx_serve[idx, links.serving]
+        serve_db = coupling[np.arange(coupling.shape[0]), links.serving]
+        gain_serve = gnb_antenna_gain_db(radio.antenna, True)
+        signal = _db_to_lin(radio.gnb_tx_dbm + gain_serve + radio.ue_gain_dbi - serve_db)
         interf = _db_to_lin(radio.gnb_tx_dbm + gain_interf + radio.ue_gain_dbi - coupling)
         return LinkPowers(signal, interf, _noise_lin(band, radio.ue_nf_db))
     eff_serv = ul_effective_coupling_db(links, radio)
@@ -314,8 +317,6 @@ def dl_sinr_array(
     """
     if powers is None:
         powers = link_powers(links, radio, band, "DL")
-    if links.is_das:
-        return 10.0 * np.log10(powers.signal / powers.noise)
     rx_interf = powers.interf
     act = np.broadcast_to(np.asarray(activity, dtype=float), (rx_interf.shape[1],))
     idx = np.arange(rx_interf.shape[0])
@@ -326,10 +327,6 @@ def dl_sinr_array(
 def ul_effective_coupling_db(links: SnapshotLinks, radio: RadioConfig) -> np.ndarray:
     """(N,) coupling loss UE -> serving cell including antenna gains."""
     coupling = links.coupling_db
-    if links.is_das:
-        head_gain = gnb_antenna_gain_db(radio.antenna, True)
-        combined = _db_to_lin(-(coupling - head_gain - radio.ue_gain_dbi)).sum(axis=1)
-        return -10.0 * np.log10(combined)
     idx = np.arange(coupling.shape[0])
     gain = gnb_antenna_gain_db(radio.antenna, True)
     return coupling[idx, links.serving] - gain - radio.ue_gain_dbi
@@ -352,24 +349,22 @@ def ul_sinr_array(
     """
     if powers is None:
         powers = link_powers(links, radio, band, "UL")
-    if links.is_das:
-        return 10.0 * np.log10(powers.signal / powers.noise)
-    n_ue, n_gnb = powers.interf.shape
-    act = np.broadcast_to(np.asarray(activity, dtype=float), (n_gnb,))
+    n_ue, n_cells = powers.interf.shape
+    act = np.broadcast_to(np.asarray(activity, dtype=float), (n_cells,))
     if interferer_weights is None:
         weights = np.ones(n_ue)
     else:
         weights = np.asarray(interferer_weights, dtype=float)
     # normalize weights within each cell so they sum to that cell's activity
-    cell_w = np.zeros(n_gnb)
+    cell_w = np.zeros(n_cells)
     np.add.at(cell_w, links.serving, weights)
     own_cell_w = cell_w[links.serving]
     scale = np.where(own_cell_w > 0, act[links.serving] / np.maximum(own_cell_w, 1e-300), 0.0)
     w = weights * scale
 
     weighted = powers.interf * w[:, None]
-    total_at_cell = weighted.sum(axis=0)  # (G,)
-    own_cell = np.zeros(n_gnb)
+    total_at_cell = weighted.sum(axis=0)  # (C,)
+    own_cell = np.zeros(n_cells)
     np.add.at(own_cell, links.serving, weighted[np.arange(n_ue), links.serving])
     interference = (total_at_cell - own_cell)[links.serving]
     return 10.0 * np.log10(powers.signal / (interference + powers.noise))

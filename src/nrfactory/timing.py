@@ -45,10 +45,6 @@ class Numerology:
             raise DomainError(f"unsupported subcarrier spacing {self.scs_khz} kHz")
 
     @property
-    def mu(self) -> int:
-        return int(round(math.log2(self.scs_khz / 15)))
-
-    @property
     def slot_duration_ms(self) -> float:
         return 15.0 / self.scs_khz
 

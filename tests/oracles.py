@@ -227,6 +227,35 @@ def load_oracle(
     return None
 
 
+def das_sinr_oracle(coupling_db, direction: str, radio: dict) -> list[float]:
+    """SINR in dB of each UE of a DAS cell, by scalar loops over the heads.
+
+    ``coupling_db[n][h]`` is the loss from UE n to head h without antenna
+    gains; ``radio`` holds plain numbers as in ``load_oracle``, with
+    ``head_gain`` the gain of every head.  The heads form one cell, so
+    there is no interference.  DL: the heads' received powers summed, over
+    the noise.  UL: the power control compensates the head-combined
+    coupling, -10 log10 of the heads' summed linear gains, and the signal
+    arrives over that coupling.
+    """
+    noise = _lin(radio["noise_dbm"])
+    out = []
+    for row in coupling_db:
+        if direction == "DL":
+            signal = 0.0
+            for c in row:
+                signal += _lin(radio["gnb_tx"] + radio["head_gain"] + radio["ue_gain"] - c)
+        else:
+            gain = 0.0
+            for c in row:
+                gain += _lin(-(c - radio["head_gain"] - radio["ue_gain"]))
+            eff = -10.0 * math.log10(gain)
+            p_tx = min(radio["ue_tx_max"], radio["p0_dbm"] + radio["alpha"] * max(eff, 1e-6))
+            signal = _lin(p_tx - eff)
+        out.append(10.0 * math.log10(signal / noise))
+    return out
+
+
 def search_oracle(feasible, limit: int = 1 << 22) -> int:
     """Largest n with ``feasible(n)``, by probing 1, doubling, then bisecting.
 

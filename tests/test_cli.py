@@ -87,6 +87,13 @@ class TestCapacityCommand:
             main(["capacity", "--usecase", "UC1"])
         assert err.value.code == 1
 
+    def test_das_heads_key_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "das.yaml"
+        path.write_text("radio:\n  antenna: das\n  das_heads: 12\n")
+        assert main(["capacity", "--config", str(path), "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "das_heads" in err and "Traceback" not in err
+
     def test_small_run_and_determinism(self, tmp_path):
         args = [
             "capacity", "--preset", "tdd3800", "--pattern", "DUDU",

@@ -112,6 +112,13 @@ class TestLoadScenario:
         with pytest.raises(UnknownKey):
             load_scenario({"radio": {"antenna": "omni", "txpower": 30}})
 
+    def test_das_heads_rejected(self, tmp_path):
+        # a DAS's heads are the scenario's gNB positions; no key counts them
+        path = tmp_path / "das.yaml"
+        path.write_text("radio:\n  antenna: das\n  das_heads: 12\n")
+        with pytest.raises(UnknownKey):
+            load_scenario(path)
+
     def test_empty_usecase_name(self):
         with pytest.raises(ValidationError):
             load_scenario({"usecase": {"name": ""}})

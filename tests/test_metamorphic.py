@@ -5,12 +5,16 @@ behaviour instead.  Each test's docstring gives the model reason the
 relation holds.
 """
 
+import dataclasses
+
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nrfactory.capacity import ResourceModel, evaluate_load, max_served_users
 from nrfactory.propagation import FactoryScenario, Hall, gnb_grid
-from nrfactory.radiolink import AasAntenna, BandConfig, RadioConfig
+from nrfactory.radiolink import AasAntenna, BandConfig, DasAntenna, RadioConfig, sinr_grid
 from nrfactory.timing import TddPattern
 from nrfactory.usecases import find_use_case
 
@@ -78,3 +82,33 @@ def test_less_control_overhead_never_lowers_capacity(overheads, seed):
     )
     assert low.max_users_dl >= high.max_users_dl
     assert low.max_users_ul >= high.max_users_ul
+
+
+@pytest.mark.parametrize(
+    "radio",
+    [
+        OMNI,
+        RadioConfig(antenna=AasAntenna(), gnb_nf_db=5.0, ue_nf_db=9.0),
+        RadioConfig(antenna=DasAntenna(), gnb_nf_db=19.0),
+    ],
+    ids=["omni", "aas", "das"],
+)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(order=st.permutations(range(12)))
+def test_sinr_map_invariant_to_gnb_order(radio, order):
+    """Median-channel SINR does not change when the gNB positions are permuted.
+
+    The median channel of a link depends on the gNB's position, not its
+    index; each point is served by its strongest cell wherever that cell
+    sits in the list, and interference sums over the other cells, whose
+    order moves only the last bits.  No 5 m grid point is equidistant from
+    two of the 12 gNBs, so no tie can hand a point to a different cell.
+    """
+    scenario = dataclasses.replace(SCENARIO, gnb_positions=gnb_grid(2, 6, 8.0, HALL))
+    permuted = dataclasses.replace(scenario, gnb_positions=tuple(scenario.gnb_positions[i] for i in order))
+    b = band("DDDSU")
+    for direction in ("DL", "UL"):
+        want = sinr_grid(scenario, b, radio, direction, resolution_m=5.0, activity=0.7).grid
+        got = sinr_grid(permuted, b, radio, direction, resolution_m=5.0, activity=0.7).grid
+        # as linear ratios: a relative bound in dB breaks near 0 dB
+        np.testing.assert_allclose(10.0 ** (got / 10.0), 10.0 ** (want / 10.0), rtol=1e-12, err_msg=direction)

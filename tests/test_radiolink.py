@@ -21,6 +21,8 @@ from nrfactory.radiolink import (
     dl_sinr_array,
     gnb_antenna_gain_db,
     link_powers,
+    sampled_coupling_db,
+    sinr_at_points,
     sinr_grid,
     sinr_to_se,
     thermal_noise_dbm,
@@ -31,6 +33,7 @@ from nrfactory.radiolink import (
 )
 from nrfactory import radiolink
 from nrfactory.timing import TddPattern
+from oracles import das_sinr_oracle
 
 HALL = Hall(120.0, 50.0, 10.0)
 
@@ -62,7 +65,7 @@ def reference_point_sinr(point, scenario, band, radio, direction, activity) -> f
     reps = [(g[0], g[1], scenario.ue_height_m) for g in scenario.gnb_positions]
     links = build_links(scenario, radio, np.asarray([point] + reps, dtype=float))
     keep = [0] + [1 + i for i in range(len(reps)) if links.serving[1 + i] != links.serving[0]]
-    trimmed = SnapshotLinks(links.coupling_db[keep], links.serving[keep], links.is_das)
+    trimmed = SnapshotLinks(links.coupling_db[keep], links.serving[keep])
     return float(ul_sinr_array(trimmed, radio, band, activity)[0])
 
 
@@ -71,9 +74,6 @@ def one_shot_dl_sinr(links, radio, band, activity):
     noise = 10.0 ** ((thermal_noise_dbm(band.bandwidth_mhz * 1e6) + radio.ue_nf_db) / 10.0)
     coupling = links.coupling_db
     n_ue, n_gnb = coupling.shape
-    if links.is_das:
-        rx = radio.gnb_tx_dbm + gnb_antenna_gain_db(radio.antenna, True) + radio.ue_gain_dbi - coupling
-        return 10.0 * np.log10((10.0 ** (rx / 10.0)).sum(axis=1) / noise)
     act = np.broadcast_to(np.asarray(activity, dtype=float), (n_gnb,))
     serve_gain = gnb_antenna_gain_db(radio.antenna, True)
     interf_gain = gnb_antenna_gain_db(radio.antenna, False)
@@ -94,8 +94,6 @@ def one_shot_ul_sinr(links, radio, band, activity, weights=None):
     eff_serv = ul_effective_coupling_db(links, radio)
     p_tx = np.array([ul_tx_power(max(float(c), 1e-6), radio, bw) for c in eff_serv])
     signal = 10.0 ** ((p_tx - eff_serv) / 10.0)
-    if links.is_das:
-        return 10.0 * np.log10(signal / noise)
     act = np.broadcast_to(np.asarray(activity, dtype=float), (n_gnb,))
     weights = np.ones(n_ue) if weights is None else np.asarray(weights, dtype=float)
     cell_w = np.zeros(n_gnb)
@@ -220,7 +218,7 @@ class TestDlSinr:
     def test_das_has_no_interference(self):
         sc = scenario_with(gnb_grid(2, 6, 8.0, HALL))
         band = tdd_band()
-        radio = RadioConfig(antenna=DasAntenna(n_heads=12), gnb_nf_db=19.0)
+        radio = RadioConfig(antenna=DasAntenna(), gnb_nf_db=19.0)
         p = (30.0, 20.0, 1.5)
         assert dl_sinr(p, sc, band, radio, 1.0) == pytest.approx(dl_sinr(p, sc, band, radio, 0.0))
 
@@ -304,7 +302,7 @@ class TestLinkPowers:
         dl_powers = link_powers(links, radio, band, "DL")
         ul_powers = link_powers(links, radio, band, "UL")
         skewed = rng.uniform(0.01, 5.0, 300)
-        for activity in (1.0, 0.3, rng.uniform(0.0, 1.0, n_gnbs)):
+        for activity in (1.0, 0.3, rng.uniform(0.0, 1.0, links.n_cells)):
             want_dl = one_shot_dl_sinr(links, radio, band, activity)
             assert dl_sinr_array(links, radio, band, activity).tolist() == want_dl.tolist()
             assert dl_sinr_array(links, radio, band, activity, powers=dl_powers).tolist() == want_dl.tolist()
@@ -314,6 +312,57 @@ class TestLinkPowers:
                 assert got.tolist() == want_ul.tolist()
                 got = ul_sinr_array(links, radio, band, activity, weights, powers=ul_powers)
                 assert got.tolist() == want_ul.tolist()
+
+
+def das_oracle_radio(radio: RadioConfig, band: BandConfig, direction: str) -> dict:
+    """The plain numbers ``das_sinr_oracle`` reads, from literal noise and power-control formulas."""
+    noise_dbm = -174.0 + 10.0 * math.log10(band.bandwidth_mhz * 1e6)
+    return dict(
+        gnb_tx=radio.gnb_tx_dbm,
+        head_gain=radio.antenna.head_gain_dbi,
+        ue_gain=radio.ue_gain_dbi,
+        noise_dbm=noise_dbm + (radio.ue_nf_db if direction == "DL" else radio.gnb_nf_db),
+        ue_tx_max=radio.ue_tx_max_dbm,
+        p0_dbm=radio.ul_pc.snr_target_db + noise_dbm + radio.gnb_nf_db,
+        alpha=radio.ul_pc.alpha,
+    )
+
+
+def assert_same_sinr(got_db, want_db):
+    """SINRs equal to a relative 1e-12 as linear ratios (a relative bound in dB breaks near 0 dB)."""
+    np.testing.assert_allclose(10.0 ** (np.asarray(got_db) / 10.0), 10.0 ** (np.asarray(want_db) / 10.0), rtol=1e-12)
+
+
+class TestDasOracle:
+    """DAS links are one merged cell; its SINRs still follow the per-head formula."""
+
+    RADIO = RadioConfig(antenna=DasAntenna(head_gain_dbi=2.0), ue_gain_dbi=1.0, gnb_nf_db=19.0)
+
+    @pytest.mark.parametrize("n_heads", [3, 12])
+    def test_arrays_match_per_head_formula(self, n_heads):
+        radio, band = self.RADIO, tdd_band()
+        sc = scenario_with(default_gnb_layout(n_heads, HALL))
+        rng = np.random.default_rng(11)
+        ues = np.column_stack([rng.uniform(0, 120, 300), rng.uniform(0, 50, 300), np.full(300, 1.5)])
+        links = build_links(sc, radio, ues, np.random.default_rng(1), np.random.default_rng(2))
+        heads = sampled_coupling_db(sc, ues, np.random.default_rng(1), np.random.default_rng(2)).tolist()
+        want_dl = das_sinr_oracle(heads, "DL", das_oracle_radio(radio, band, "DL"))
+        want_ul = das_sinr_oracle(heads, "UL", das_oracle_radio(radio, band, "UL"))
+        for activity in (1.0, 0.3, rng.uniform(0.0, 1.0, 1)):
+            assert_same_sinr(dl_sinr_array(links, radio, band, activity), want_dl)
+            for weights in (None, rng.uniform(0.01, 5.0, 300)):
+                assert_same_sinr(ul_sinr_array(links, radio, band, activity, weights), want_ul)
+
+    @pytest.mark.parametrize("n_heads", [3, 12])
+    @pytest.mark.parametrize("direction", ["DL", "UL"])
+    def test_points_match_per_head_formula(self, n_heads, direction):
+        radio, band = self.RADIO, tdd_band()
+        sc = scenario_with(default_gnb_layout(n_heads, HALL))
+        rng = np.random.default_rng(12)
+        points = np.column_stack([rng.uniform(0, 120, 200), rng.uniform(0, 50, 200), np.full(200, 1.5)])
+        heads = radiolink._median_coupling_db(sc, points).tolist()
+        want = das_sinr_oracle(heads, direction, das_oracle_radio(radio, band, direction))
+        assert_same_sinr(sinr_at_points(points, sc, band, radio, direction, 0.8), want)
 
 
 class TestSinrGrid:
