@@ -82,7 +82,6 @@ class FactoryScenario:
     clutter: Clutter = Clutter(0.60, 6.0, 2.0)
     scenario_type: ScenarioType = "InF_DH"
     carrier_ghz: float = 3.8
-    rng_seed: int = 1
 
     def __post_init__(self):
         if self.scenario_type not in ("InF_DH", "InF_SH"):

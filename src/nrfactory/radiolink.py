@@ -93,6 +93,8 @@ class BandConfig:
     tti_symbols: int = 14
 
     def __post_init__(self):
+        if self.duplex not in ("FDD", "TDD"):
+            raise DomainError(f"unknown duplex {self.duplex!r}; expected FDD or TDD")
         if self.duplex == "FDD" and self.tdd_pattern is not None:
             raise DomainError("FDD bands carry no TDD pattern")
         if self.duplex == "TDD" and self.tdd_pattern is None:

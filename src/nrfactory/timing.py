@@ -22,11 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from importlib import resources
+from pathlib import Path
 from typing import Iterable, Literal, Optional
 
 import yaml
 
-from .errors import DomainError, NegativeComponent, NoUsableSlot
+from .errors import DomainError, NegativeComponent, NoUsableSlot, ParseError, ValidationError
 
 SYMBOLS_PER_SLOT = 14
 VALID_SCS_KHZ = (15, 30, 60, 120)
@@ -127,16 +128,24 @@ def _timeline(pattern: Optional[TddPattern], direction: Direction) -> TddPattern
     return FDD_DL_PATTERN if direction == "DL" else FDD_UL_PATTERN
 
 
-def _load_default_processing_table() -> dict[tuple[str, str, int], float]:
-    raw = yaml.safe_load(
-        resources.files("nrfactory.data").joinpath("processing_times.yaml").read_text()
-    )
-    table: dict[tuple[str, str, int], float] = {}
-    for channel, caps in raw.items():
-        for cap, per_scs in caps.items():
-            for scs, symbols in per_scs.items():
-                table[(channel, cap, int(scs))] = float(symbols)
-    return table
+def load_processing_table(path: Path) -> dict[tuple[str, str, int], float]:
+    """Processing times in symbols by (channel, capability, SCS), from a YAML
+    file of the shipped table's schema (data/processing_times.yaml)."""
+    try:
+        raw = yaml.safe_load(path.read_text())
+    except FileNotFoundError:
+        raise ParseError(f"{path}: no such file") from None
+    except yaml.YAMLError as exc:
+        raise ParseError(f"{path}: YAML parse error: {exc}") from exc
+    try:
+        return {
+            (str(channel), str(cap), int(scs)): float(symbols)
+            for channel, caps in raw.items()
+            for cap, per_scs in caps.items()
+            for scs, symbols in per_scs.items()
+        }
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: bad processing-table structure: {exc}") from exc
 
 
 def default_processing_table() -> dict[tuple[str, str, int], float]:
@@ -159,7 +168,9 @@ def _validate_processing_table(table: dict[tuple[str, str, int], float]) -> None
                 )
 
 
-_DEFAULT_PROCESSING_TABLE = _load_default_processing_table()
+_DEFAULT_PROCESSING_TABLE = load_processing_table(
+    resources.files("nrfactory.data").joinpath("processing_times.yaml")
+)
 _validate_processing_table(_DEFAULT_PROCESSING_TABLE)
 
 
