@@ -78,12 +78,19 @@ class Key:
     write: Callable[[Any], Any] = _plain
 
 
+def _int(value) -> int:
+    """An integer key's value; a number with a fractional part is an error, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _pattern(value) -> tuple[str, ...]:
     return TddPattern.from_string(str(value)).slots
 
 
 def _split(value) -> tuple[int, int, int]:
-    return TddPattern(("S",), tuple(map(int, value))).special_split
+    return TddPattern(("S",), tuple(map(_int, value))).special_split
 
 
 def _antenna(value) -> str:
@@ -96,7 +103,7 @@ def _antenna(value) -> str:
 def _grid(value) -> dict:
     if not isinstance(value, dict) or not {"rows", "cols"} <= set(value) <= {"rows", "cols", "height_m"}:
         raise ValueError("expected rows, cols and an optional height_m")
-    return {k: (float if k == "height_m" else int)(v) for k, v in value.items()}
+    return {k: (float if k == "height_m" else _int)(v) for k, v in value.items()}
 
 
 TABLES: dict[str, dict[str, Key]] = {
@@ -112,7 +119,7 @@ TABLES: dict[str, dict[str, Key]] = {
         # one layout key: explicit positions, a ceiling grid, or a gNB count
         "gnb_positions_m": Key("scenario.gnb_positions", lambda v: tuple(tuple(map(float, xyz)) for xyz in v)),
         "gnb_grid": Key(None, _grid),
-        "n_gnbs": Key(None, int, 12),
+        "n_gnbs": Key(None, _int, 12),
         "gnb_height_m": Key(None, float, 8.0),
     },
     "band": {
@@ -120,18 +127,18 @@ TABLES: dict[str, dict[str, Key]] = {
         "duplex": Key("band.duplex", lambda v: str(v).upper(), "TDD"),
         "carrier_ghz": Key("band.carrier_ghz", float, 3.8),
         "bandwidth_mhz": Key("band.bandwidth_mhz", float, 100.0),
-        "scs_khz": Key("band.scs_khz", int, 30),
+        "scs_khz": Key("band.scs_khz", _int, 30),
         "tdd_pattern": Key("band.tdd_pattern.slots", _pattern, write="".join),
         "special_split": Key("band.tdd_pattern.special_split", _split, (10, 2, 2)),
-        "tti_symbols": Key("band.tti_symbols", int, 14),
+        "tti_symbols": Key("band.tti_symbols", _int, 14),
     },
     "radio": {
         "antenna": Key("radio.antenna", _antenna, "omni", write=lambda a: ANTENNA_NAMES[type(a)]),
         "omni_gain_dbi": Key("radio.antenna.gain_dbi", float, 2.0),
         "das_head_gain_dbi": Key("radio.antenna.head_gain_dbi", float, 0.0),
-        "aas_rows": Key("radio.antenna.rows", int, 4),
-        "aas_cols": Key("radio.antenna.cols", int, 4),
-        "aas_polarizations": Key("radio.antenna.polarizations", int, 2),
+        "aas_rows": Key("radio.antenna.rows", _int, 4),
+        "aas_cols": Key("radio.antenna.cols", _int, 4),
+        "aas_polarizations": Key("radio.antenna.polarizations", _int, 2),
         "aas_element_gain_dbi": Key("radio.antenna.element_gain_dbi", float, 5.0),
         "aas_suppression_db": Key("radio.antenna.suppression_db", float, 20.0),
         "gnb_tx_dbm": Key("radio.gnb_tx_dbm", float, 30.0),
@@ -143,18 +150,18 @@ TABLES: dict[str, dict[str, Key]] = {
         "ul_alpha": Key("radio.ul_pc.alpha", float, 0.8),
     },
     "scheduling": {
-        "pdcch_occasions_per_slot": Key("scheduling.pdcch_occasions_per_slot", int, 1),
-        "harq_feedback_occasions_per_slot": Key("scheduling.harq_feedback_occasions_per_slot", int, 1),
+        "pdcch_occasions_per_slot": Key("scheduling.pdcch_occasions_per_slot", _int, 1),
+        "harq_feedback_occasions_per_slot": Key("scheduling.harq_feedback_occasions_per_slot", _int, 1),
         "ul_access": Key("scheduling.ul_access", str, "sr_based"),
         "ue_capability": Key("scheduling.ue_capability", str, "cap1"),
-        "sr_opportunities_per_slot": Key("scheduling.sr_opportunities_per_slot", int, 1),
+        "sr_opportunities_per_slot": Key("scheduling.sr_opportunities_per_slot", _int, 1),
         "processing_times_file": Key("processing_times_file", str),
     },
     # a name alone selects a catalogue row; the other keys define an inline
     # use case, with 4 nines of CSA and no survival time
     "usecase": {
         "name": Key("use_case.name", str),
-        "message_size_bytes": Key("use_case.message_size_bytes", int),
+        "message_size_bytes": Key("use_case.message_size_bytes", _int),
         "cycle_time_ms": Key("use_case.cycle_time_ms", float),
         "latency_bound_ms": Key("use_case.latency_bound_ms", float),
         "network_reliability": Key("use_case.network_reliability", float),
@@ -163,8 +170,8 @@ TABLES: dict[str, dict[str, Key]] = {
     "exclusion": {
         "gamma_dbm": Key("exclusion.gamma_dbm", float, -120.0),
         "tol_bits": Key("exclusion.tol_bits", float, 1e-4),
-        "max_reflections": Key("exclusion.max_reflections", int, 1),
-        "k_points": Key("exclusion.k_points", int, 112),
+        "max_reflections": Key("exclusion.max_reflections", _int, 1),
+        "k_points": Key("exclusion.k_points", _int, 112),
     },
 }
 SECTIONS = tuple(TABLES)

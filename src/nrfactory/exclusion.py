@@ -33,9 +33,10 @@ from typing import Optional
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csr_matrix
 
 from .errors import DomainError, SolverFailure
-from .propagation import Hall, synthesize_multipath
+from .propagation import Hall, multipath_response
 from .radiolink import thermal_noise_dbm
 
 
@@ -158,11 +159,16 @@ def feasibility_lp(
     a_ub[:m, :-1] = np.kron(np.eye(m), np.ones(k))
     a_ub[m:, :-1] = np.repeat(gp.T * (sigma / scenario.gamma_norm), k, axis=1)
     b_ub = np.concatenate([np.full(m, 1.0 / sigma), np.ones(gp.shape[1])])
-    # user rows, divided by n/P_T
-    users = np.arange(k)[:, None]
-    a_eq = np.zeros((k, n_var))
-    a_eq[users, np.arange(m) * k + users] = scenario.h_pow().T * (sigma / scenario.noise_over_pt)
-    a_eq[:, -1] = -1.0
+    # user rows, divided by n/P_T: one nonzero per (user, AP) channel, then -s
+    coef = scenario.h_pow().T * (sigma / scenario.noise_over_pt)
+    users, aps = np.nonzero(coef)
+    a_eq = csr_matrix(
+        (
+            np.append(coef[users, aps], np.full(k, -1.0)),
+            (np.append(users, np.arange(k)), np.append(aps * k + users, np.full(k, n_var - 1))),
+        ),
+        shape=(k, n_var),
+    )
     cost = np.zeros(n_var)
     cost[-1] = -1.0
     result = linprog(
@@ -270,17 +276,8 @@ def table15_scenario(
     zone_z = (0.0, 1.5)
     test_points = [(x, y, z) for x in zone_x for y in zone_y for z in zone_z]
 
-    carrier_ghz = 30.0
-    h = np.empty((len(aps), k_points), dtype=complex)
-    for mi, ap in enumerate(aps):
-        for ki in range(k_points):
-            h[mi, ki] = synthesize_multipath(
-                ap, tuple(users[ki]), hall, max_reflections, carrier_ghz
-            ).response()
-    g = np.empty((len(aps), len(test_points)), dtype=complex)
-    for mi, ap in enumerate(aps):
-        for li, tp in enumerate(test_points):
-            g[mi, li] = synthesize_multipath(ap, tp, hall, max_reflections, carrier_ghz).response()
+    channels = multipath_response(aps, np.vstack([users, test_points]), hall, max_reflections, carrier_ghz=30.0)
+    h, g = channels[:, :k_points], channels[:, k_points:]
 
     p_t_mw = 200.0
     noise_mw = 10.0 ** ((thermal_noise_dbm(100e6) + 9.0) / 10.0)

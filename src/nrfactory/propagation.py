@@ -12,7 +12,12 @@ free-space spreading per ray.  Each ray contributes
 
     A * exp(-j * w0 * tau),   |A| = lambda / (4 pi d) * prod(refl),
 
-and the aggregate channel is the coherent sum over rays.
+and the aggregate channel is the coherent sum over rays.  The image set
+depends only on the transmitter and the hall (Allen & Berkley, JASA 1979),
+so ``multipath_response`` builds each transmitter's images once and
+measures them against every receive point in one broadcast, giving the
+(T, P) channel matrix; each entry sums its rays in delay order, as
+``synthesize_multipath(...).response()`` does for one pair.
 """
 
 from __future__ import annotations
@@ -255,6 +260,24 @@ class MultipathChannel:
         return float(sum(abs(a) ** 2 for a, _ in self.rays))
 
 
+def _image_lattice(max_reflections: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sign, shift, bounces) of every transmitter image with at most
+    ``max_reflections`` bounces, in one fixed enumeration order.
+
+    Per axis an image sits at sign * x + 2 * shift * L, with sign = (-1)^p
+    and |shift - p| + |shift| bounces; the (Q, 3) sign and shift arrays and
+    the (Q,) total bounce count depend only on ``max_reflections``.
+    """
+    if max_reflections < 0 or max_reflections > 3:
+        raise DomainError("max_reflections must be within 0..3")
+    r_range = range(-max_reflections, max_reflections + 1)
+    p = np.repeat(np.array(list(itertools.product((0, 1), repeat=3))), len(r_range) ** 3, axis=0)
+    r = np.tile(np.array(list(itertools.product(r_range, repeat=3))), (8, 1))
+    bounces = (np.abs(r - p) + np.abs(r)).sum(axis=1)
+    keep = bounces <= max_reflections
+    return 1 - 2 * p[keep], r[keep], bounces[keep]
+
+
 def synthesize_multipath(
     tx: Sequence[float],
     rx: Sequence[float],
@@ -265,37 +288,66 @@ def synthesize_multipath(
 ) -> MultipathChannel:
     """Image-method ray synthesis against the six hall surfaces.
 
-    Images are enumerated on the reflection lattice
-    x_img = (-1)^p * x + 2*r*L per axis, with the bounce count
-    |r - p| + |r| per axis; rays up to ``max_reflections`` total bounces are
-    kept.  Each bounce multiplies the amplitude by the (negative-dB)
-    reflection coefficient; metal-rich halls keep specular components
-    dominant, so diffuse scattering is ignored.
+    Images come from ``_image_lattice``; rays up to ``max_reflections``
+    total bounces are kept, sorted by delay.  Each bounce multiplies the
+    amplitude by the (negative-dB) reflection coefficient; metal-rich halls
+    keep specular components dominant, so diffuse scattering is ignored.
     """
-    if max_reflections < 0 or max_reflections > 3:
-        raise DomainError("max_reflections must be within 0..3")
+    signs, shifts, bounce_counts = _image_lattice(max_reflections)
     tx = tuple(float(v) for v in tx)
     rx = tuple(float(v) for v in rx)
-    if tx == rx:
-        raise DegenerateGeometry("tx and rx coincide")
     dims = (hall.length_m, hall.width_m, hall.height_m)
     lam = SPEED_OF_LIGHT / (carrier_ghz * 1e9)
     refl_amp = 10.0 ** (wall_reflection_db / 20.0)
     w0 = 2.0 * math.pi * carrier_ghz * 1e9
 
-    r_range = range(-max_reflections, max_reflections + 1)
     rays = []
-    for p in itertools.product((0, 1), repeat=3):
-        for r in itertools.product(r_range, repeat=3):
-            bounces = sum(abs(r[i] - p[i]) + abs(r[i]) for i in range(3))
-            if bounces > max_reflections:
-                continue
-            img = tuple((1 - 2 * p[i]) * tx[i] + 2 * r[i] * dims[i] for i in range(3))
-            d = math.dist(img, rx)
-            if d == 0.0:
-                raise DegenerateGeometry("degenerate image at zero distance")
-            tau = d / SPEED_OF_LIGHT
-            mag = lam / (4.0 * math.pi * d) * refl_amp**bounces
-            rays.append((complex(mag, 0.0), tau))
+    for sign, shift, bounces in zip(signs.tolist(), shifts.tolist(), bounce_counts.tolist()):
+        img = tuple(sign[i] * tx[i] + 2 * shift[i] * dims[i] for i in range(3))
+        d = math.dist(img, rx)
+        if d == 0.0:
+            raise DegenerateGeometry("degenerate image at zero distance")
+        tau = d / SPEED_OF_LIGHT
+        mag = lam / (4.0 * math.pi * d) * refl_amp**bounces
+        rays.append((complex(mag, 0.0), tau))
     rays.sort(key=lambda ray: ray[1])
     return MultipathChannel(rays=tuple(rays), omega0=w0)
+
+
+def multipath_response(
+    txs: np.ndarray,
+    rxs: np.ndarray,
+    hall: Hall,
+    max_reflections: int = 1,
+    carrier_ghz: float = 30.0,
+    wall_reflection_db: float = -3.0,
+) -> np.ndarray:
+    """(T, P) coherent channels from (T, 3) transmitters to (P, 3) points.
+
+    The array form of ``synthesize_multipath(...).response()``: each
+    transmitter's images are built once and measured against every point
+    in one broadcast.  Each entry's rays are summed in delay order, one ray
+    at a time, so an entry depends only on its own (tx, rx) pair.
+    """
+    signs, shifts, bounces = _image_lattice(max_reflections)
+    txs = np.asarray(txs, dtype=float)
+    rxs = np.asarray(rxs, dtype=float)
+    dims = np.array([hall.length_m, hall.width_m, hall.height_m])
+    lam = SPEED_OF_LIGHT / (carrier_ghz * 1e9)
+    refl_amp = 10.0 ** (wall_reflection_db / 20.0)
+    w0 = 2.0 * math.pi * carrier_ghz * 1e9
+
+    images = signs * txs[:, None, :] + 2 * shifts * dims  # (T, Q, 3)
+    d = np.sqrt(np.sum((images[:, None, :, :] - rxs[None, :, None, :]) ** 2, axis=-1))  # (T, P, Q)
+    if np.any(d == 0.0):
+        raise DegenerateGeometry("degenerate image at zero distance")
+    tau = d / SPEED_OF_LIGHT
+    order = np.argsort(tau, axis=-1, kind="stable")
+    d, tau = np.take_along_axis(d, order, axis=-1), np.take_along_axis(tau, order, axis=-1)
+    mag = lam / (4.0 * math.pi * d) * (refl_amp**bounces)[order]
+    real, imag = mag * np.cos(w0 * tau), mag * -np.sin(w0 * tau)
+    out = np.zeros(d.shape[:2], dtype=complex)
+    for q in range(d.shape[-1]):
+        out.real += real[..., q]
+        out.imag += imag[..., q]
+    return out

@@ -250,6 +250,42 @@ class TestRejected:
         assert [p[2] for p in cfg.scenario.gnb_positions] == [6.0] * 3
 
 
+# An integer key with a fractional value is rejected, not truncated.
+FRACTIONAL = {
+    "aas_rows": {"radio": {"antenna": "aas", "aas_rows": 2.7}},
+    "n_gnbs": {"scenario": {"n_gnbs": 3.9}},
+    "scs_khz": {"band": {"scs_khz": 30.5}},
+    "max_reflections": {"exclusion": {"max_reflections": 1.5}},
+    "k_points": {"exclusion": {"k_points": 8.5}},
+    "gnb_grid": {"scenario": {"gnb_grid": {"rows": 1.5, "cols": 3}}},
+    "special_split": {"band": {"special_split": [10, 2.5, 2]}},
+}
+
+
+class TestIntegerKeys:
+    @pytest.mark.parametrize("key, source", FRACTIONAL.items(), ids=FRACTIONAL.keys())
+    def test_fraction_rejected(self, key, source, tmp_path, capsys):
+        with pytest.raises(ValidationError, match=key):
+            load_scenario(source)
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(source))
+        assert main(["capacity", "--config", str(path), "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
+    def test_integral_values_load(self):
+        cfg = load_scenario({
+            "radio": {"antenna": "aas", "aas_rows": 2.0},
+            "scenario": {"gnb_grid": {"rows": 1.0, "cols": "3"}},
+            "band": {"scs_khz": 30.0, "special_split": [10.0, 2, 2]},
+            "exclusion": {"max_reflections": 2.0, "k_points": "8"},
+        })
+        assert cfg.radio.antenna.rows == 2 and type(cfg.radio.antenna.rows) is int
+        assert len(cfg.scenario.gnb_positions) == 3
+        assert cfg.band.scs_khz == 30 and cfg.band.tdd_pattern.special_split == (10, 2, 2)
+        assert (cfg.exclusion.max_reflections, cfg.exclusion.k_points) == (2, 8)
+
+
 def test_readme_example_loads():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = re.search(r"```yaml\n(.*?)```", readme.split("## Scenario files", 1)[1], re.S).group(1)

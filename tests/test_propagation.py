@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nrfactory.errors import DegenerateGeometry, DomainError, OutOfRange
 from nrfactory.propagation import (
@@ -12,6 +14,7 @@ from nrfactory.propagation import (
     drop_ues,
     gnb_grid,
     los_probability,
+    multipath_response,
     pathloss,
     shadow_sigma_db,
     synthesize_multipath,
@@ -193,3 +196,46 @@ class TestMultipath:
     def test_max_reflections_bound(self):
         with pytest.raises(DomainError):
             synthesize_multipath((1.0, 1.0, 1.0), (2.0, 2.0, 2.0), self.hall, max_reflections=4)
+
+
+@st.composite
+def halls_and_points(draw):
+    """A hall with 1-3 transmitters and 1-6 receive points inside it."""
+    dims = [draw(st.floats(2.0, 50.0)) for _ in range(3)]
+    point = st.tuples(*(st.floats(0.0, 1.0).map(lambda u, d=d: u * d) for d in dims))
+    return Hall(*dims), draw(st.lists(point, min_size=1, max_size=3)), draw(st.lists(point, min_size=1, max_size=6))
+
+
+class TestMultipathResponse:
+    """The (T, P) array form against the per-pair ray synthesizer."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(geometry=halls_and_points(), max_reflections=st.integers(0, 3))
+    def test_matches_per_pair_rays(self, geometry, max_reflections):
+        hall, txs, rxs = geometry
+        assume(not set(txs) & set(rxs))
+        response = multipath_response(txs, rxs, hall, max_reflections)
+        assert response.shape == (len(txs), len(rxs))
+        for i, tx in enumerate(txs):
+            for j, rx in enumerate(rxs):
+                ch = synthesize_multipath(tx, rx, hall, max_reflections)
+                assert abs(response[i, j] - ch.response()) <= 1e-10 * sum(abs(a) for a, _ in ch.rays)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(geometry=halls_and_points(), keep=st.integers(1, 5), max_reflections=st.integers(0, 3))
+    def test_appended_points_keep_existing_columns(self, geometry, keep, max_reflections):
+        # each entry depends only on its own pair, so a table15 test point's
+        # channel does not move with the user count
+        hall, txs, rxs = geometry
+        assume(keep < len(rxs) and not set(txs) & set(rxs))
+        grown = multipath_response(txs, rxs, hall, max_reflections)
+        assert np.array_equal(grown[:, :keep], multipath_response(txs, rxs[:keep], hall, max_reflections))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(geometry=halls_and_points(), max_reflections=st.integers(0, 3), bad=st.sampled_from([-1, 4, 7]))
+    def test_errors_raised(self, geometry, max_reflections, bad):
+        hall, txs, rxs = geometry
+        with pytest.raises(DegenerateGeometry):
+            multipath_response(txs, rxs + [txs[-1]], hall, max_reflections)
+        with pytest.raises(DomainError):
+            multipath_response(txs, rxs, hall, bad)
