@@ -22,13 +22,13 @@ drop's links once, and tests a later drop only at the running minimum.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterator, Literal, Optional, Union
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; loaded before a pool forks, workers need not each import it
 import yaml
 
 from .errors import DomainError, SolverFailure
@@ -329,6 +329,13 @@ def evaluate_load(
     # closing shuts a pool down, cancelling the drops not yet started, once one drop is infeasible
     with closing(_starmap(_evaluate_drop, args, workers)) as results:
         return LoadResult(feasible=all(results))
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """``concurrent.futures.ProcessPoolExecutor``, imported when a search first asks for a pool."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
 
 
 def _starmap(fn, args: list[tuple], workers: int) -> Iterator:

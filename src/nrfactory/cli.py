@@ -46,6 +46,10 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+# the latency table has one row per retransmission count; a bound keeps it small
+MAX_RETX = 64
+
+
 def _checked(convert, ok, what: str):
     """An argparse ``type=`` that converts the text and rejects values failing ``ok``."""
 
@@ -63,6 +67,7 @@ def _checked(convert, ok, what: str):
 
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
 _nonnegative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_retx_count = _checked(int, lambda v: 0 <= v <= MAX_RETX, f"an integer in 0..{MAX_RETX}")
 _finite_float = _checked(float, math.isfinite, "a finite number")
 _nonnegative_float = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite non-negative number")
 _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite positive number")
@@ -393,7 +398,7 @@ def build_parser() -> _Parser:
     p_lat = sub.add_parser("latency", help="worst-case air-interface latency")
     add_common(p_lat)
     p_lat.add_argument("--direction", choices=("DL", "UL", "both"), default="both")
-    p_lat.add_argument("--retx", type=_nonnegative_int, default=3, help="max retransmissions to tabulate")
+    p_lat.add_argument("--retx", type=_retx_count, default=3, help=f"max retransmissions to tabulate (0..{MAX_RETX})")
     p_lat.add_argument("--bound", type=_positive_float, help="latency bound in ms for attempt counting")
     p_lat.add_argument("--ul-access", choices=("sr_based", "configured_grant"))
     p_lat.add_argument("--capability", choices=("cap1", "cap2"))
@@ -404,7 +409,7 @@ def build_parser() -> _Parser:
     p_cap = sub.add_parser("capacity", help="maximum served users per use case")
     add_common(p_cap)
     p_cap.add_argument("--usecase", default="UC1", help="catalogue use-case name")
-    p_cap.add_argument("--seed", type=int, required=True)
+    p_cap.add_argument("--seed", type=_nonnegative_int, required=True)
     p_cap.add_argument("--drops", type=_positive_int, default=20)
     p_cap.add_argument("--antenna", choices=("omni", "das", "aas"))
     p_cap.add_argument("--gnbs", type=_positive_int, help="gNB count (default layout)")
@@ -434,7 +439,7 @@ def build_parser() -> _Parser:
     p_ex = sub.add_parser("exclusion", help="max-min power allocation with exclusion zone")
     p_ex.add_argument("--table15", action="store_true", help="use the built-in 72-AP scenario")
     p_ex.add_argument("--config", help="scenario YAML with an [exclusion] section")
-    p_ex.add_argument("--seed", type=int, required=True)
+    p_ex.add_argument("--seed", type=_nonnegative_int, required=True)
     p_ex.add_argument("--gamma-dbm", type=_finite_float, help="ceiling in dBm (default -120)")
     p_ex.add_argument("--tol-bits", type=_positive_float, help="bound on the certified gap (default 1e-4)")
     p_ex.add_argument("--k-points", type=_positive_int, help="measurement points (default 112)")

@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
 
 from .errors import DomainError, SolverFailure
 from .propagation import Hall, multipath_response
@@ -123,6 +121,17 @@ def all_exclusion_powers(scenario: CellFreeScenario, allocation: PowerAllocation
     return scenario.g_pow().T @ per_ap
 
 
+def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None), method="highs"):
+    """``scipy.optimize.linprog``, imported on the first solve.
+
+    scipy.optimize takes most of the package's import time and only this
+    module's LP uses it, so a command that solves no LP never loads it.
+    """
+    from scipy.optimize import linprog as solve
+
+    return solve(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method=method)
+
+
 @dataclass(frozen=True)
 class LpWitness(PowerAllocation):
     """A max-min LP solution with the solver's dual bound on its min SE."""
@@ -146,6 +155,8 @@ def feasibility_lp(
     sigma = min(1, gamma / max |g|^2), and the ceiling rows are divided
     by gamma.
     """
+    from scipy.sparse import csr_matrix
+
     if sinr_target < 0:
         raise DomainError("sinr_target must be >= 0")
     m, k = scenario.m_aps, scenario.k_users
@@ -233,7 +244,10 @@ def solve_maxmin(
 
 def gamma_norm_from_dbm(gamma_dbm: float, p_t_mw: float) -> float:
     """Exclusion ceiling in dBm converted to the p_t-normalized scale."""
-    return 10.0 ** (gamma_dbm / 10.0) / p_t_mw
+    try:
+        return 10.0 ** (gamma_dbm / 10.0) / p_t_mw
+    except OverflowError:
+        raise DomainError(f"exclusion ceiling {gamma_dbm} dBm is out of range") from None
 
 
 FACTORY_SECTION_HALL = Hall(length_m=30.0, width_m=15.0, height_m=5.0)

@@ -192,8 +192,8 @@ class SchedulingConfig:
         if not 2 <= self.tti_symbols <= SYMBOLS_PER_SLOT:
             raise DomainError(f"tti_symbols {self.tti_symbols} outside 2..14")
         for name in ("pdcch_occasions_per_slot", "harq_feedback_occasions_per_slot", "sr_opportunities_per_slot"):
-            if getattr(self, name) < 1:
-                raise DomainError(f"{name} must be >= 1")
+            if not 1 <= getattr(self, name) <= SYMBOLS_PER_SLOT:
+                raise DomainError(f"{name} {getattr(self, name)} outside 1..{SYMBOLS_PER_SLOT}")
         if self.ul_access not in ("sr_based", "configured_grant"):
             raise DomainError(f"unknown ul_access {self.ul_access!r}")
         if self.ue_capability not in ("cap1", "cap2"):

@@ -379,6 +379,14 @@ class TestMaxServedUsers:
         evaluate_load(sc, b, RadioConfig(), uc, 4, n_drops=2, seed=3, workers=2)
         assert len(built) == 2
 
+    @pytest.mark.parametrize("seed", [5, 8])
+    def test_lazy_pool_matches_serial(self, seed):
+        sc = scenario(3)
+        b = band("DUDU")
+        uc = find_use_case("UC1")
+        serial = max_served_users(sc, b, RadioConfig(), uc, n_drops=3, seed=seed)
+        assert max_served_users(sc, b, RadioConfig(), uc, n_drops=3, seed=seed, workers=2) == serial
+
     @pytest.mark.parametrize("pattern, dl, ul", [("DUDU", 111, 12), ("DDDSU", 167, 3)])
     def test_criterion_6_omni_capacities(self, pattern, dl, ul):
         # criterion 6 checks only orderings; a last-bit change in link

@@ -2,6 +2,8 @@ import csv
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nrfactory import capacity
 from nrfactory.cli import main
@@ -192,12 +194,14 @@ def test_command_runs_on_every_preset(preset, argv, tmp_path):
     "argv",
     [
         ["latency", "--retx", "-1"],
+        ["latency", "--retx", "65"],
         ["latency", "--bound", "inf"],
         ["latency", "--bound", "nan"],
         ["latency", "--bound", "0"],
         ["latency", "--tti", "0"],
         ["latency", "--pdcch", "0"],
         ["latency", "--harq", "0"],
+        ["capacity", "--seed", "-1"],
         ["capacity", "--seed", "1", "--gnbs", "0"],
         ["capacity", "--seed", "1", "--workers", "0"],
         ["capacity", "--seed", "1", "--drops", "0"],
@@ -211,6 +215,7 @@ def test_command_runs_on_every_preset(preset, argv, tmp_path):
         ["sinr-map", "--gnbs", "0"],
         ["sinr-map", "--tti", "-2"],
         ["sinr-map", "--resolution", "nan"],
+        ["exclusion", "--seed", "-1"],
         ["exclusion", "--seed", "1", "--gamma-dbm", "nan"],
         ["exclusion", "--seed", "1", "--gamma-dbm", "inf"],
         ["exclusion", "--seed", "1", "--k-points", "0"],
@@ -227,6 +232,63 @@ def test_bad_value_is_an_input_error(argv, capsys):
     stderr = capsys.readouterr().err
     assert "error: argument" in stderr
     assert "Traceback" not in stderr
+
+
+# zero, negative, huge, infinite, not-a-number and empty values for a numeric flag
+BOUNDARY = ("0", "-1", "-1e308", "1e308", str(2**63), "inf", "-inf", "nan", "")
+# flags whose valid values set the amount of work: bad values and small valid ones
+SMALL = ("0", "-1", "inf", "nan", "", "1", "2")
+# grid spacing in m: bad values and coarse valid ones
+COARSE = ("0", "-1", "inf", "nan", "", "25", "1e308")
+
+NUMERIC_FLAGS = {
+    "latency": (
+        ["latency"],
+        {"--tti": BOUNDARY, "--retx": BOUNDARY, "--bound": BOUNDARY, "--pdcch": BOUNDARY, "--harq": BOUNDARY},
+    ),
+    "capacity": (
+        ["capacity", "--seed", "1", "--drops", "1", "--gnbs", "3"],
+        {"--seed": BOUNDARY, "--drops": SMALL, "--gnbs": SMALL, "--workers": SMALL, "--tti": BOUNDARY},
+    ),
+    "sinr-map": (
+        ["sinr-map", "--gnbs", "3", "--resolution", "25"],
+        {"--resolution": COARSE, "--activity": BOUNDARY, "--gnbs": SMALL, "--tti": BOUNDARY},
+    ),
+    "coexist": (
+        ["coexist", "--indoor", "DDDU", "--outdoor", "DDDDU"],
+        {"--separation": BOUNDARY, "--wall-loss": BOUNDARY, "--offset": BOUNDARY, "--find-safe": SMALL,
+         "--min-ul": BOUNDARY},
+    ),
+    "exclusion": (
+        ["exclusion", "--table15", "--seed", "1", "--k-points", "4", "--sweep-csv", "sweep.csv"],
+        {"--seed": BOUNDARY, "--gamma-dbm": BOUNDARY, "--tol-bits": BOUNDARY, "--k-points": SMALL,
+         "--sweep-points": SMALL},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", NUMERIC_FLAGS)
+def test_boundary_values_keep_the_exit_code_contract(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("NRFACTORY_OUTDIR", str(tmp_path))
+    base, flags = NUMERIC_FLAGS[command]
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(values=st.fixed_dictionaries({}, optional={flag: st.sampled_from(v) for flag, v in flags.items()}))
+    def check(values):
+        # --flag=value hands values such as -inf to the flag rather than reading them as options
+        argv = base + [f"{flag}={value}" for flag, value in values.items()] + ["-o", "out"]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in capsys.readouterr().err, argv
+
+    # every value of every flag on its own, then random combinations
+    for flag, values in flags.items():
+        for value in values:
+            check = example(values={flag: value})(check)
+    check()
 
 
 def test_empty_pattern_is_rejected(capsys):

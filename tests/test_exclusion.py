@@ -1,7 +1,9 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog as scipy_linprog
 
 from nrfactory import exclusion
 from nrfactory.cli import main
@@ -286,6 +288,42 @@ class TestCertifiedGap:
         ])
         assert code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+
+class TestLinprogSeam:
+    """``exclusion.linprog`` defers scipy's import and changes nothing else."""
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            lambda: tiny_scenario(np.random.default_rng(16)),
+            lambda: table15_scenario(seed=1, k_points=8),
+        ],
+        ids=["tiny", "table15-k8"],
+    )
+    def test_results_are_scipys_bit_for_bit(self, monkeypatch, scenario):
+        calls = []
+        seam = exclusion.linprog
+
+        def record(*args, **kwargs):
+            result = seam(*args, **kwargs)
+            calls.append((args, kwargs, result))
+            return result
+
+        monkeypatch.setattr(exclusion, "linprog", record)
+        sc = scenario()
+        for use_exclusion in (False, True):
+            solve_maxmin(sc, use_exclusion=use_exclusion)
+        assert len(calls) == 2
+        for args, kwargs, result in calls:
+            direct = scipy_linprog(*args, **kwargs)
+            assert np.array_equal(result.x, direct.x)
+            assert np.array_equal(result.ineqlin.marginals, direct.ineqlin.marginals)
+
+    def test_parameters_are_a_prefix_of_scipys(self):
+        ours = list(inspect.signature(exclusion.linprog).parameters)
+        assert "A_ub" in ours
+        assert ours == list(inspect.signature(scipy_linprog).parameters)[: len(ours)]
 
 
 class TestTable15Scenario:

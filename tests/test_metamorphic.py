@@ -1,7 +1,7 @@
-"""Metamorphic relations of the capacity engine: how its output must move when an input moves.
+"""Metamorphic relations of the capacity and exclusion engines: how an output must move when an input moves.
 
-The engine has no closed-form oracle at scale, so these relations pin its
-behaviour instead.  Each test's docstring gives the model reason the
+The engines have no closed-form oracle at scale, so these relations pin
+their behaviour instead.  Each test's docstring gives the model reason the
 relation holds.
 """
 
@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nrfactory.capacity import ResourceModel, evaluate_load, max_served_users
+from nrfactory.exclusion import CellFreeScenario, solve_maxmin
 from nrfactory.propagation import FactoryScenario, Hall, gnb_grid
 from nrfactory.radiolink import AasAntenna, BandConfig, DasAntenna, RadioConfig, sinr_grid
 from nrfactory.timing import TddPattern
@@ -112,3 +113,83 @@ def test_sinr_map_invariant_to_gnb_order(radio, order):
         got = sinr_grid(permuted, b, radio, direction, resolution_m=5.0, activity=0.7).grid
         # as linear ratios: a relative bound in dB breaks near 0 dB
         np.testing.assert_allclose(10.0 ** (got / 10.0), 10.0 ** (want / 10.0), rtol=1e-12, err_msg=direction)
+
+
+# HiGHS solves to feasibility tolerances of 1e-7; these tiny LPs agree to
+# about 1e-14 of their min SE, and a relative 1e-9 sits between the two
+LP_RTOL = 1e-9
+
+
+@st.composite
+def cell_free(draw, extra_points: int = 0) -> CellFreeScenario:
+    """A 2-4 AP, 2-4 user, 1-3 test point instance; ``extra_points`` more test points are appended."""
+    m, k, l = draw(st.integers(2, 4)), draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def channels(n: int) -> np.ndarray:
+        return np.sqrt(rng.uniform(0.01, 1.0, (m, n))) * np.exp(2j * np.pi * rng.uniform(size=(m, n)))
+
+    h, g = channels(k), channels(l + extra_points)
+    # from a ceiling that binds hard to one that binds barely or not at all
+    gamma = rng.uniform(0.05, 1.0) * float(np.max(np.sum(np.abs(g[:, :l]) ** 2, axis=0)))
+    return CellFreeScenario(h=h, g=g, p_t_mw=1.0, noise_mw=rng.uniform(0.1, 2.0), gamma_norm=gamma)
+
+
+def min_se(scenario: CellFreeScenario, h=None, g=None) -> float:
+    sc = dataclasses.replace(scenario, h=scenario.h if h is None else h, g=scenario.g if g is None else g)
+    return solve_maxmin(sc, use_exclusion=True).min_se
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(scenario=cell_free(), data=st.data())
+def test_exclusion_invariant_to_ap_order(scenario, data):
+    """Permuting the APs leaves the max-min SE unchanged.
+
+    An AP enters the program only through its row of channels: its budget
+    row, its user channels and its test-point channels move together, so a
+    permuted AP order relabels the LP's variables and rows, and its optimum
+    stays.
+    """
+    order = data.draw(st.permutations(range(scenario.m_aps)))
+    got = min_se(scenario, h=scenario.h[order], g=scenario.g[order])
+    assert got == pytest.approx(min_se(scenario), rel=LP_RTOL)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(scenario=cell_free(), data=st.data())
+def test_exclusion_invariant_to_user_order(scenario, data):
+    """Permuting the users leaves the max-min SE unchanged.
+
+    Every user has one equality row and the same common target s, and the
+    minimum over users does not see their order; a permutation relabels
+    the rho columns and the user rows.
+    """
+    order = data.draw(st.permutations(range(scenario.k_users)))
+    got = min_se(scenario, h=scenario.h[:, order])
+    assert got == pytest.approx(min_se(scenario), rel=LP_RTOL)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(scenario=cell_free(), data=st.data())
+def test_exclusion_invariant_to_test_point_order(scenario, data):
+    """Permuting the test points leaves the max-min SE unchanged.
+
+    Each test point adds one ceiling row with the same bound gamma; a set
+    of rows has no order, so the feasible set and its optimum stay.
+    """
+    order = data.draw(st.permutations(range(scenario.l_points)))
+    got = min_se(scenario, g=scenario.g[:, order])
+    assert got == pytest.approx(min_se(scenario), rel=LP_RTOL)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(scenario=cell_free(extra_points=1))
+def test_adding_a_test_point_never_raises_exclusion_min_se(scenario):
+    """A further test point can only lower the max-min SE.
+
+    It adds one ceiling row and removes none, so the feasible set of
+    power allocations can only shrink, and the maximum of the worst user's
+    SE over it cannot rise.
+    """
+    fewer = min_se(scenario, g=scenario.g[:, :-1])
+    assert min_se(scenario) <= fewer * (1.0 + LP_RTOL)

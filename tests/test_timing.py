@@ -35,6 +35,17 @@ def symmetric_table(value=10.0):
     return table
 
 
+@pytest.mark.parametrize(
+    "name", ["pdcch_occasions_per_slot", "harq_feedback_occasions_per_slot", "sr_opportunities_per_slot"]
+)
+@pytest.mark.parametrize("count", [0, 15])
+def test_occasion_count_outside_a_slot_is_rejected(name, count):
+    # a slot has 14 symbols; more occasions than symbols would add none
+    with pytest.raises(DomainError):
+        make_config(**{name: count})
+    make_config(**{name: 14})
+
+
 class TestNumerology:
     @pytest.mark.parametrize("scs,expected", [(15, 1.0), (30, 0.5), (60, 0.25), (120, 0.125)])
     def test_slot_duration(self, scs, expected):
