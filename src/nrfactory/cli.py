@@ -357,17 +357,17 @@ def cmd_exclusion(args) -> int:
             "per_user_se_bits_per_s_per_hz": [round(float(v), 6) for v in result.per_user_se],
             "per_point_power_dbm": to_dbm(result.per_point_power),
         }
-    _emit_json(payload, _out_path(args.output))
-
+    # every solve runs before either file is written, so a failure leaves neither
+    rows = []
     if args.sweep_csv:
-        gammas = np.linspace(gamma_dbm + 40.0, gamma_dbm, args.sweep_points)
-        rows = []
-        for g in gammas:
+        for g in np.linspace(gamma_dbm + 40.0, gamma_dbm, args.sweep_points):
             sc = dataclasses.replace(
                 scenario, gamma_norm=exclusion_mod.gamma_norm_from_dbm(float(g), scenario.p_t_mw)
             )
             res = exclusion_mod.solve_maxmin(sc, use_exclusion=True, tol_bits=tol)
             rows.append([round(float(g), 6), round(res.min_se, 6)])
+    _emit_json(payload, _out_path(args.output))
+    if args.sweep_csv:
         _emit_csv(
             ["gamma_dbm", "min_se_bits_per_s_per_hz"], rows, _out_path(args.sweep_csv)
         )

@@ -144,7 +144,7 @@ def feasibility_lp(
 ) -> Optional[LpWitness]:
     """The max-min witness if its worst-user SINR meets the target, else None.
 
-    One LP maximizes the common received power s, in units of n/P_T:
+    The LP maximizes the common received power s, in units of n/P_T:
 
         sum_m |h[m, k]|^2 rho[m, k] = s * n/P_T     for every user k,
         sum_k rho[m, k] <= 1                         for every AP m,
@@ -153,41 +153,66 @@ def feasibility_lp(
     Under a tight ceiling the optimal rho lie below the solver's
     tolerances, so the variables are x = rho / sigma with
     sigma = min(1, gamma / max |g|^2), and the ceiling rows are divided
-    by gamma.
-    """
-    from scipy.sparse import csr_matrix
+    by gamma.  s is divided by an estimate of its optimum, so that the
+    solver's absolute dual tolerance stays small against the column
+    prices below.
 
+    The optimum uses few of the M * K columns rho[m, k], so the LP is
+    solved by column generation (Gilmore & Gomory 1961).  A restricted LP
+    starts from each user's 4 strongest APs.  After each solve, an
+    inactive column enters when its value omega_k * coef[k, m] exceeds
+    its price u_m + sum_l v_l * ceil[l, m] by more than a relative 1e-9,
+    where omega, u and v are the duals of the user, AP and ceiling rows.
+    The loop stops when no column enters: the duals then price every
+    column of the full LP, so the restricted optimum is the full one and
+    its dual objective bounds it.  Every round adds a column and rho = 0,
+    s = 0 is always feasible, so the loop ends after at most M * K rounds.
+    """
     if sinr_target < 0:
         raise DomainError("sinr_target must be >= 0")
     m, k = scenario.m_aps, scenario.k_users
     gp = scenario.g_pow() if use_exclusion else np.zeros((m, 0))
     g_max = float(gp.max(initial=0.0))
     sigma = min(1.0, scenario.gamma_norm / g_max) if g_max > 0 else 1.0
-    n_var = m * k + 1  # x[m*K + k] = rho[m, k] / sigma, x[-1] = s
+    ceil = gp.T * (sigma / scenario.gamma_norm)  # (L, M) ceiling rows on x
+    coef = scenario.h_pow().T * (sigma / scenario.noise_over_pt)  # (K, M) user rows on x
+    # the largest AP sum each AP allows alone; a user given all of it would
+    # get coef @ cap, and a 1/K share of the weakest such user estimates s
+    cap = 1.0 / np.maximum(sigma, ceil.max(axis=0, initial=0.0))
+    scale = float(np.min(coef @ cap)) / k
+    coef /= scale
+    b_ub = np.concatenate([np.full(m, 1.0 / sigma), np.ones(ceil.shape[0])])
 
-    # AP budgets, then the ceilings
-    a_ub = np.zeros((m + gp.shape[1], n_var))
-    a_ub[:m, :-1] = np.kron(np.eye(m), np.ones(k))
-    a_ub[m:, :-1] = np.repeat(gp.T * (sigma / scenario.gamma_norm), k, axis=1)
-    b_ub = np.concatenate([np.full(m, 1.0 / sigma), np.ones(gp.shape[1])])
-    # user rows, divided by n/P_T: one nonzero per (user, AP) channel, then -s
-    coef = scenario.h_pow().T * (sigma / scenario.noise_over_pt)
-    users, aps = np.nonzero(coef)
-    a_eq = csr_matrix(
-        (
-            np.append(coef[users, aps], np.full(k, -1.0)),
-            (np.append(users, np.arange(k)), np.append(aps * k + users, np.full(k, n_var - 1))),
-        ),
-        shape=(k, n_var),
-    )
-    cost = np.zeros(n_var)
-    cost[-1] = -1.0
-    result = linprog(
-        cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.zeros(k), bounds=(0.0, None), method="highs"
-    )
-    if not result.success:
-        raise SolverFailure(f"LP solver failed (status {result.status}): {result.message}")
-    rho = sigma * np.clip(result.x[:-1].reshape(m, k), 0.0, None)
+    active = np.zeros((m, k), dtype=bool)
+    strongest = np.argsort(-coef, axis=1)[:, :4]
+    active[strongest, np.arange(k)[:, None]] = True
+    while True:
+        aps, users = np.nonzero(active)  # column j of x is rho[aps[j], users[j]] / sigma
+        n_col = len(aps)
+        cols = np.arange(n_col)
+        # AP budgets, then the ceilings; user rows, divided by n/P_T, then -s
+        a_ub = np.zeros((m + ceil.shape[0], n_col + 1))
+        a_ub[aps, cols] = 1.0
+        a_ub[m:, :-1] = ceil[:, aps]
+        a_eq = np.zeros((k, n_col + 1))
+        a_eq[users, cols] = coef[users, aps]
+        a_eq[:, -1] = -1.0
+        cost = np.zeros(n_col + 1)
+        cost[-1] = -1.0
+        result = linprog(
+            cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.zeros(k), bounds=(0.0, None), method="highs"
+        )
+        if not result.success:
+            raise SolverFailure(f"LP solver failed (status {result.status}): {result.message}")
+        price = -result.ineqlin.marginals[:m] - ceil.T @ result.ineqlin.marginals[m:]
+        value = coef.T * result.eqlin.marginals
+        enter = ~active & (value > price[:, None] * (1.0 + 1e-9))
+        if not enter.any():
+            break
+        active |= enter
+
+    rho = np.zeros((m, k))
+    rho[aps, users] = sigma * np.clip(result.x[:-1], 0.0, None)
     # repair solver-tolerance slack so the witness meets every hard
     # constraint exactly (scaling rho down only loses a solver-epsilon of SE)
     row_sums = rho.sum(axis=1)
@@ -203,8 +228,11 @@ def feasibility_lp(
     if np.min(s / (s.sum() - s + 1.0)) < sinr_target:
         return None
     # the user rows have a zero right-hand side, so the dual objective is b_ub . y
-    s_dual = -float(b_ub @ result.ineqlin.marginals)
+    s_dual = -float(b_ub @ result.ineqlin.marginals) * scale
     return LpWitness(rho=rho, se_bound=math.log2(1.0 + s_dual / ((k - 1) * s_dual + 1.0)))
+
+
+GAP_RTOL = 1e-6  # largest certified gap of solve_maxmin, relative to the dual bound
 
 
 @dataclass(frozen=True)
@@ -220,11 +248,13 @@ def solve_maxmin(
     use_exclusion: bool,
     tol_bits: float = 1e-4,
 ) -> MaxMinResult:
-    """Maximize the minimum user SE with one LP.
+    """Maximize the minimum user SE with the max-min LP of ``feasibility_lp``.
 
-    ``tol_bits`` bounds the certified gap: the SE at the solver's dual
-    bound minus the returned witness's min SE.  A larger gap raises
-    SolverFailure.
+    The certified gap is the SE at the solver's dual bound minus the
+    returned witness's min SE.  A gap above ``tol_bits`` or above
+    ``GAP_RTOL`` of the bound raises SolverFailure; the relative test
+    matters under a tight ceiling, where the whole min SE can be smaller
+    than ``tol_bits``.
     """
     if not tol_bits > 0:
         raise DomainError("tol_bits must be > 0")
@@ -232,8 +262,11 @@ def solve_maxmin(
     per_user = all_user_se(scenario, witness)
     min_se = float(per_user.min())
     gap = witness.se_bound - min_se
-    if gap > tol_bits:
-        raise SolverFailure(f"certified gap {gap:.3g} bits exceeds tol_bits {tol_bits:g}")
+    if gap > tol_bits or gap > GAP_RTOL * witness.se_bound:
+        raise SolverFailure(
+            f"certified gap {gap:.3g} bits exceeds tol_bits {tol_bits:g} "
+            f"or {GAP_RTOL:g} of the bound {witness.se_bound:.6g}"
+        )
     return MaxMinResult(
         allocation=witness,
         min_se=min_se,

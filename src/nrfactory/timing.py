@@ -289,8 +289,10 @@ def sr_opportunity_starts(pattern: TddPattern, per_slot: int = 1) -> list[int]:
         ul_syms = [base + i for i in range(SYMBOLS_PER_SLOT) if roles[base + i] == "U"]
         if not ul_syms:
             continue
-        for j in range(min(per_slot, len(ul_syms))):
-            starts.append(ul_syms[(j * len(ul_syms)) // per_slot])
+        # more opportunities than UL symbols take every symbol once
+        n = min(per_slot, len(ul_syms))
+        for j in range(n):
+            starts.append(ul_syms[(j * len(ul_syms)) // n])
     return sorted(set(starts))
 
 

@@ -278,3 +278,54 @@ def search_oracle(feasible, limit: int = 1 << 22) -> int:
         else:
             hi = mid
     return lo
+
+
+def maxmin_lp_oracle(scenario, use_exclusion: bool) -> float:
+    """Max-min SE of a cell-free scenario from one LP over all M * K columns.
+
+    The exclusion engine's LP as it was before column generation: maximize
+    the common received power s (units of n/P_T) over every rho[m, k] at
+    once, with x = rho / sigma and the ceiling rows divided by gamma.  The
+    witness is clipped to the budgets and the ceiling, and its worst-user
+    SE is returned.
+    """
+    import numpy as np
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
+    h_pow = np.abs(scenario.h) ** 2
+    m, k = h_pow.shape
+    noise = scenario.noise_mw / scenario.p_t_mw
+    gp = np.abs(scenario.g) ** 2 if use_exclusion else np.zeros((m, 0))
+    g_max = float(gp.max(initial=0.0))
+    sigma = min(1.0, scenario.gamma_norm / g_max) if g_max > 0 else 1.0
+    n_var = m * k + 1  # x[m*K + k] = rho[m, k] / sigma, x[-1] = s
+
+    a_ub = np.zeros((m + gp.shape[1], n_var))
+    a_ub[:m, :-1] = np.kron(np.eye(m), np.ones(k))
+    a_ub[m:, :-1] = np.repeat(gp.T * (sigma / scenario.gamma_norm), k, axis=1)
+    b_ub = np.concatenate([np.full(m, 1.0 / sigma), np.ones(gp.shape[1])])
+    coef = h_pow.T * (sigma / noise)
+    users, aps = np.nonzero(coef)
+    a_eq = csr_matrix(
+        (
+            np.append(coef[users, aps], np.full(k, -1.0)),
+            (np.append(users, np.arange(k)), np.append(aps * k + users, np.full(k, n_var - 1))),
+        ),
+        shape=(k, n_var),
+    )
+    cost = np.zeros(n_var)
+    cost[-1] = -1.0
+    result = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.zeros(k), bounds=(0.0, None), method="highs")
+    if not result.success:
+        raise RuntimeError(f"oracle LP failed: {result.message}")
+    rho = sigma * np.clip(result.x[:-1].reshape(m, k), 0.0, None)
+    row_sums = rho.sum(axis=1)
+    over = row_sums > 1.0
+    rho[over] /= row_sums[over, None] * (1.0 + 1e-15)
+    if gp.size:
+        worst = float(np.max(gp.T @ rho.sum(axis=1)))
+        if worst > scenario.gamma_norm:
+            rho *= scenario.gamma_norm / worst * (1.0 - 1e-15)
+    s = (rho * h_pow).sum(axis=0) / noise
+    return math.log2(1.0 + float(np.min(s / (s.sum() - s + 1.0))))

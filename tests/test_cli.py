@@ -167,6 +167,17 @@ class TestExclusionCommand:
             data["maxmin"]["min_se_bits_per_s_per_hz"] + 1e-6
         )
 
+    def test_failed_sweep_writes_no_file(self, tmp_path, capsys):
+        # the sweep starts 40 dB above the ceiling, at 3110 dBm, which is out of range
+        sweep, out = tmp_path / "s.csv", tmp_path / "e.json"
+        code = run([
+            "exclusion", "--table15", "--seed", "1", "--k-points", "4", "--gamma-dbm", "3070",
+            "--sweep-csv", str(sweep), "-o", str(out),
+        ])
+        assert code == 1
+        assert not sweep.exists() and not out.exists()
+        assert "out of range" in capsys.readouterr().err
+
     def test_determinism(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

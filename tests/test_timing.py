@@ -14,6 +14,7 @@ from nrfactory.timing import (
     handover_interruption_budget,
     max_attempts_within_bound,
     one_way_latency,
+    sr_opportunity_starts,
     worst_case_alignment,
 )
 
@@ -84,6 +85,18 @@ class TestTddPattern:
     def test_bad_symbol_rejected(self):
         with pytest.raises(DomainError):
             TddPattern.from_string("DDXU")
+
+
+    def test_more_sr_opportunities_never_give_fewer_starts(self):
+        # DDDSU's S slot has two UL symbols, 54 and 55; the U slot has fourteen
+        pattern = TddPattern.from_string("DDDSU")
+        counts = []
+        for per_slot in (1, 2, 4, 5, 7, 13, 14):
+            starts = sr_opportunity_starts(pattern, per_slot)
+            counts.append(len(starts))
+            if per_slot >= 2:
+                assert {54, 55} <= set(starts), per_slot
+        assert counts == sorted(counts)
 
 
 class TestProcessingTable:
