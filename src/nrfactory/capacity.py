@@ -16,7 +16,8 @@ results are machine- and parallelism-independent.  Each drop's feasibility
 is monotone in the user count, and drops are nested (the first n users of
 a larger drop are the drop's n users), so the capacity is the minimum over
 drops of each drop's capacity: the search runs drop by drop, building each
-drop's links once, and tests a later drop only at the running minimum.
+drop's links and link powers once for both directions, and tests a later
+drop only at the running minimum.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .errors import DomainError, SolverFailure
 from .propagation import FactoryScenario, drop_ues
 from .radiolink import (
     BandConfig,
+    LinkPowers,
     RadioConfig,
     SnapshotLinks,
     build_links,
@@ -131,14 +133,25 @@ def required_user_resources(
     an array; the result has its shape and is ``inf`` where the spectral
     efficiency is 0.
     """
+    factors = _demand_factors(use_case, attempts)
+    with np.errstate(divide="ignore"):
+        return _demand(sinr_db, *factors)
+
+
+def _demand_factors(use_case: UseCaseSpec, attempts: int) -> tuple[float, float, float, float]:
+    """The SINR-independent part of ``required_user_resources``: the per-attempt
+    BLER target, bits per message, expected transmissions and messages per
+    RB-symbol."""
     if attempts < 1:
         raise DomainError("attempts must be >= 1")
     bler = per_attempt_bler_target(use_case.network_reliability, attempts)
-    se = sinr_to_se(sinr_db, bler)
-    bits_per_message = 8.0 * use_case.message_size_bytes
     messages_per_rb_symbol = 1000.0 / use_case.cycle_time_ms / RB_SYMBOL_HZ_S
-    with np.errstate(divide="ignore"):
-        return bits_per_message / se * expected_transmissions(bler, attempts) * messages_per_rb_symbol
+    return bler, 8.0 * use_case.message_size_bytes, expected_transmissions(bler, attempts), messages_per_rb_symbol
+
+
+def _demand(sinr_db, bler: float, bits_per_message: float, transmissions: float, messages_per_rb_symbol: float):
+    """The per-SINR part of ``required_user_resources``; it divides by 0 where the SE is 0."""
+    return bits_per_message / sinr_to_se(sinr_db, bler) * transmissions * messages_per_rb_symbol
 
 
 def link_attempts(
@@ -196,6 +209,7 @@ def _drop_feasible(
     direction: Direction,
     attempts: int,
     supply: float,
+    powers: Optional[LinkPowers] = None,
 ) -> bool:
     """Decide whether one drop's load fits every cell, by a two-sided certificate.
 
@@ -208,9 +222,13 @@ def _drop_feasible(
     lower iterate has not.  The DL state is each cell's activity, the UL
     state each UE's interferer weight min(demand / supply, 1).  A drop left
     undecided after ``_CERTIFICATE_ROUNDS`` rounds raises SolverFailure.
+    ``powers`` is ``link_powers(links, radio, band, direction)``, computed
+    here when not given.
     """
     n_cells = links.n_cells
-    powers = link_powers(links, radio, band, direction)
+    if powers is None:
+        powers = link_powers(links, radio, band, direction)
+    factors = _demand_factors(use_case, attempts)
 
     def step(state: np.ndarray) -> tuple[bool, np.ndarray]:
         if direction == "DL":
@@ -219,20 +237,21 @@ def _drop_feasible(
             # each cell's activity is the sum of its weights, so ul_sinr_array keeps them as given
             activity = np.bincount(links.serving, weights=state, minlength=n_cells)
             sinr = ul_sinr_array(links, radio, band, activity, interferer_weights=state, powers=powers)
-        demand = required_user_resources(use_case, sinr, attempts)
+        demand = _demand(sinr, *factors)
         util = np.bincount(links.serving, weights=demand, minlength=n_cells) / supply
-        fits = bool(np.all(util <= 1.0 + 1e-9))
+        fits = bool((util <= 1.0 + 1e-9).all())
         return fits, np.minimum(util if direction == "DL" else demand / supply, 1.0)
 
     size = n_cells if direction == "DL" else len(links.serving)
     upper, lower = np.ones(size), np.zeros(size)
-    for _ in range(_CERTIFICATE_ROUNDS):
-        fits, upper = step(upper)
-        if fits:
-            return True
-        fits, lower = step(lower)
-        if not fits:
-            return False
+    with np.errstate(divide="ignore"):  # a zero-SE link demands inf
+        for _ in range(_CERTIFICATE_ROUNDS):
+            fits, upper = step(upper)
+            if fits:
+                return True
+            fits, lower = step(lower)
+            if not fits:
+                return False
     raise SolverFailure(
         f"{direction} load of {len(links.serving)} users undecided after {_CERTIFICATE_ROUNDS} certificate rounds"
     )
@@ -244,17 +263,21 @@ class _Drop:
     Positions (``drop_ues``) and LOS and shadowing (``sampled_coupling_db``)
     are drawn user-major, so the first n rows of the drop's links at a
     larger count are its links at n.  A count above the built one rebuilds
-    at max(n, 2 x built).
+    at max(n, 2 x built).  Link powers are row-wise too: each direction's
+    are computed at the largest count asked for in it since the last build,
+    and sliced below it.
     """
 
     def __init__(self, scenario: FactoryScenario, radio: RadioConfig, seed: int, drop: int):
         self.scenario, self.radio, self.seed, self.drop = scenario, radio, seed, drop
         self._links: Optional[SnapshotLinks] = None
+        self._powers: dict[tuple[BandConfig, Direction], LinkPowers] = {}
 
     def links(self, n_users: int) -> SnapshotLinks:
         built = self._links
         if built is None or n_users > len(built.serving):
             size = n_users if built is None else max(n_users, 2 * len(built.serving))
+            self._powers.clear()
             positions = drop_ues(self.scenario, size, [self.seed, self.drop, 0])
             rng_los = np.random.default_rng([self.seed, self.drop, 1])
             rng_shadow = np.random.default_rng([self.seed, self.drop, 2])
@@ -262,6 +285,14 @@ class _Drop:
         if n_users == len(built.serving):
             return built
         return SnapshotLinks(built.coupling_db[:n_users], built.serving[:n_users])
+
+    def powers(self, n_users: int, band: BandConfig, direction: Direction) -> LinkPowers:
+        """``link_powers(self.links(n_users), ...)``, sliced from the largest such count computed."""
+        links = self.links(n_users)
+        held = self._powers.get((band, direction))
+        if held is None or n_users > len(held.signal):
+            held = self._powers[band, direction] = link_powers(links, self.radio, band, direction)
+        return held if n_users == len(held.signal) else held.head(n_users)
 
 
 def _evaluate_drop(
@@ -352,46 +383,49 @@ def _search_drops(
     band: BandConfig,
     radio: RadioConfig,
     use_case: UseCaseSpec,
-    direction: Direction,
     seed: int,
     drops: range,
-    attempts: int,
-    supply: float,
-) -> int:
-    """The most users every drop in ``drops`` serves in one direction.
+    setup: dict[Direction, tuple[int, float]],
+) -> dict[Direction, int]:
+    """The most users every drop in ``drops`` serves, per direction of ``setup``.
 
     That is the minimum over the drops of each drop's capacity, since each
     drop's feasibility is monotone in n.  The first drop is searched fully
     (probe 1, double, bisect); each later drop is tested only at the
-    running minimum, and bisected below it when that test fails.
+    running minimum, and bisected below it when that test fails.  One drop
+    serves both directions: DL is decided on it first, then UL, then it is
+    discarded.  A direction whose minimum reaches 0 is not searched further.
     """
-    cap: Optional[int] = None
+    caps: dict[Direction, Optional[int]] = dict.fromkeys(setup)
     for index in drops:
         drop = _Drop(scenario, radio, seed, index)
+        for direction, (attempts, supply) in setup.items():
 
-        def ok(n: int) -> bool:
-            return _drop_feasible(drop.links(n), band, radio, use_case, direction, attempts, supply)
+            def ok(n: int) -> bool:
+                powers = drop.powers(n, band, direction)
+                return _drop_feasible(drop.links(n), band, radio, use_case, direction, attempts, supply, powers=powers)
 
-        if cap is None:
-            lo, hi = 0, 1
-            while ok(hi):
-                lo, hi = hi, 2 * hi
-                if hi > 1 << 22:
-                    raise DomainError("capacity search diverged; check the resource model")
-        elif ok(cap):
-            continue
-        else:
-            lo, hi = 0, cap
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if ok(mid):
-                lo = mid
+            cap = caps[direction]
+            if cap is None:
+                lo, hi = 0, 1
+                while ok(hi):
+                    lo, hi = hi, 2 * hi
+                    if hi > 1 << 22:
+                        raise DomainError("capacity search diverged; check the resource model")
+            elif cap == 0 or ok(cap):
+                continue
             else:
-                hi = mid
-        cap = lo
-        if cap == 0:
+                lo, hi = 0, cap
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if ok(mid):
+                    lo = mid
+                else:
+                    hi = mid
+            caps[direction] = lo
+        if not any(caps.values()):
             break
-    return cap
+    return caps
 
 
 def se_per_cell(
@@ -427,9 +461,9 @@ def max_served_users(
     """Per-direction capacity, the minimum over drops; combined is their minimum.
 
     The drops are split into ``workers`` interleaved sets, each searched by
-    a running minimum; the capacity is the minimum over the sets, so it
-    does not depend on ``workers``.  With ``workers > 1`` the sets of both
-    directions run on one process pool.
+    a running minimum per direction; the capacity is the minimum over the
+    sets, so it does not depend on ``workers``.  With ``workers > 1`` the
+    sets run on one process pool.
     """
     if n_drops < 1:
         raise DomainError("n_drops must be >= 1")
@@ -438,16 +472,12 @@ def max_served_users(
     if model is None:
         model = ResourceModel.from_band(band)
     n_sets = max(1, min(workers, n_drops))
-    tasks: dict[Direction, list[tuple]] = {}
-    for direction in ("DL", "UL"):
-        setup = _direction_setup(band, sched, model, use_case, direction)
-        tasks[direction] = [] if setup is None else [
-            (scenario, band, radio, use_case, direction, seed, range(i, n_drops, n_sets), *setup)
-            for i in range(n_sets)
-        ]
-    caps = list(_starmap(_search_drops, tasks["DL"] + tasks["UL"], workers))
-    n_dl = len(tasks["DL"])
-    dl, ul = min(caps[:n_dl], default=0), min(caps[n_dl:], default=0)
+    setups = {direction: _direction_setup(band, sched, model, use_case, direction) for direction in ("DL", "UL")}
+    setup = {direction: s for direction, s in setups.items() if s is not None}
+    tasks = [(scenario, band, radio, use_case, seed, range(i, n_drops, n_sets), setup) for i in range(n_sets)]
+    caps = list(_starmap(_search_drops, tasks, workers))
+    # a direction without a setup serves no one
+    dl, ul = (min(c.get(direction, 0) for c in caps) for direction in ("DL", "UL"))
 
     n_cells = max(cell_count(scenario, radio), 1)
     return CapacityResult(

@@ -146,14 +146,17 @@ def los_decay_constant_m(scenario: FactoryScenario, bs_height_m: float) -> float
 
 
 def los_probability_array(
-    scenario: FactoryScenario, d2d_m: np.ndarray, bs_height_m: float
+    scenario: FactoryScenario, d2d_m: np.ndarray, bs_height_m: Union[float, np.ndarray]
 ) -> np.ndarray:
+    """LOS probability exp(-d2d/k) per link; ``bs_height_m`` is one height or one per column of ``d2d_m``.
+
+    k is infinite where the clutter is at or below the UE, and exp(-0) = 1.
+    """
     d2d = np.asarray(d2d_m, dtype=float)
     if np.any(d2d < 0):
         raise DomainError("d2d must be >= 0")
-    k = los_decay_constant_m(scenario, bs_height_m)
-    if math.isinf(k):
-        return np.ones_like(d2d)
+    heights = np.ravel(bs_height_m).tolist()
+    k = np.reshape([los_decay_constant_m(scenario, h) for h in heights], np.shape(bs_height_m))
     return np.exp(-d2d / k)
 
 
@@ -184,7 +187,9 @@ def pathloss_array(
     log_d = np.log10(d3d)
     log_f = math.log10(carrier_ghz)
     pl_los = los_c["a"] + los_c["b"] * log_d + los_c["c"] * log_f
-    pl_nlos = np.maximum(nl["a"] + nl["b"] * log_d + nl["c"] * log_f, pl_los)
+    pl_nlos = nl["a"] + nl["b"] * log_d + nl["c"] * log_f
+    del log_d  # the arrays are (N, G) in a capacity search: keep few alive
+    np.maximum(pl_nlos, pl_los, out=pl_nlos)
     return np.where(np.asarray(los, dtype=bool), pl_los, pl_nlos)
 
 
@@ -229,9 +234,11 @@ def link_distances(
     dx = ues[:, None, 0] - gnbs[None, :, 0]
     dy = ues[:, None, 1] - gnbs[None, :, 1]
     dz = ues[:, None, 2] - gnbs[None, :, 2]
-    d2d = np.hypot(dx, dy)
-    d3d = np.sqrt(d2d**2 + dz**2)
-    return d2d, d3d
+    # in place: one (N, G) buffer each for d2d and d3d, and none besides
+    d2d = np.hypot(dx, dy, out=dx)
+    d3d = np.multiply(d2d, d2d, out=dy)
+    d3d += np.multiply(dz, dz, out=dz)
+    return d2d, np.sqrt(d3d, out=d3d)
 
 
 @dataclass(frozen=True)

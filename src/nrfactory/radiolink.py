@@ -166,21 +166,33 @@ def sinr_to_se(
     return np.minimum(max_se, se)
 
 
-def _median_coupling_db(
-    scenario: FactoryScenario, ue_positions: np.ndarray
-) -> np.ndarray:
-    """(N, G) pathloss with median shadowing (0 dB) and median LOS state."""
+def _pathloss_los(
+    scenario: FactoryScenario,
+    ue_positions: np.ndarray,
+    rng_los: Optional[np.random.Generator] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(N, G) pathloss and LOS state of every UE-gNB link, in one broadcast over the gNBs.
+
+    A link is LOS where a uniform draw from ``rng_los`` (filled user-major)
+    is below its LOS probability, or without a generator where that
+    probability is at least 0.5 (the median state).
+    """
     if not scenario.gnb_positions:
         raise NoGnb("scenario defines no gNBs")
     gnbs = np.asarray(scenario.gnb_positions, dtype=float)
     d2d, d3d = link_distances(gnbs, ue_positions)
-    out = np.empty_like(d3d)
-    for gi in range(gnbs.shape[0]):
-        p_los = los_probability_array(scenario, d2d[:, gi], bs_height_m=float(gnbs[gi, 2]))
-        out[:, gi] = pathloss_array(
-            scenario.scenario_type, p_los >= 0.5, np.maximum(d3d[:, gi], 1.0), scenario.carrier_ghz
-        )
-    return out
+    p_los = los_probability_array(scenario, d2d, bs_height_m=gnbs[:, 2])
+    los = p_los >= 0.5 if rng_los is None else rng_los.random(p_los.shape) < p_los
+    del d2d, p_los  # free two (N, G) buffers before the pathloss temporaries
+    np.maximum(d3d, 1.0, out=d3d)
+    return pathloss_array(scenario.scenario_type, los, d3d, scenario.carrier_ghz), los
+
+
+def _median_coupling_db(
+    scenario: FactoryScenario, ue_positions: np.ndarray
+) -> np.ndarray:
+    """(N, G) pathloss with median shadowing (0 dB) and median LOS state."""
+    return _pathloss_los(scenario, ue_positions)[0]
 
 
 def sampled_coupling_db(
@@ -194,24 +206,13 @@ def sampled_coupling_db(
     LOS and shadowing use separate generators filled user-major, so the
     first n users of a larger drop see identical links (nested drops).
     """
-    if not scenario.gnb_positions:
-        raise NoGnb("scenario defines no gNBs")
-    gnbs = np.asarray(scenario.gnb_positions, dtype=float)
-    d2d, d3d = link_distances(gnbs, ue_positions)
-    n, g = d3d.shape
-    u_los = rng_los.random((n, g))
-    z_shadow = rng_shadow.standard_normal((n, g))
-    out = np.empty((n, g))
+    coupling, los = _pathloss_los(scenario, ue_positions, rng_los)
+    shadow = rng_shadow.standard_normal(coupling.shape)
     sigma_los = shadow_sigma_db(scenario.scenario_type, True)
     sigma_nlos = shadow_sigma_db(scenario.scenario_type, False)
-    for gi in range(g):
-        p_los = los_probability_array(scenario, d2d[:, gi], bs_height_m=float(gnbs[gi, 2]))
-        los = u_los[:, gi] < p_los
-        pl = pathloss_array(
-            scenario.scenario_type, los, np.maximum(d3d[:, gi], 1.0), scenario.carrier_ghz
-        )
-        out[:, gi] = pl + z_shadow[:, gi] * np.where(los, sigma_los, sigma_nlos)
-    return out
+    shadow *= np.where(los, sigma_los, sigma_nlos)
+    coupling += shadow
+    return coupling
 
 
 @dataclass
@@ -279,12 +280,18 @@ class LinkPowers:
 
     The first step of a SINR evaluation: it depends only on the links, the
     radio and the band, so a load fixed point computes it once per drop and
-    applies each round's activity to it.
+    applies each round's activity to it.  Every array is one row per UE,
+    so the powers of a drop's first n UEs are its first n rows.
     """
 
     signal: np.ndarray      # (N,) wanted power at the UE (DL) or at its serving cell (UL)
     interf: np.ndarray      # (N, G) DL: cell g's power at UE n; UL: UE n's power at cell g
     noise: float
+    own_cell: np.ndarray    # (N,) interf at each UE's serving cell, the term interference leaves out
+
+    def head(self, n: int) -> "LinkPowers":
+        """The powers of the first ``n`` UEs."""
+        return LinkPowers(self.signal[:n], self.interf[:n], self.noise, self.own_cell[:n])
 
 
 def link_powers(
@@ -292,17 +299,25 @@ def link_powers(
 ) -> LinkPowers:
     """The activity-independent step of ``dl_sinr_array`` / ``ul_sinr_array``."""
     coupling = links.coupling_db
+    idx = np.arange(coupling.shape[0])
     gain_interf = gnb_antenna_gain_db(radio.antenna, False)
     if direction == "DL":
-        serve_db = coupling[np.arange(coupling.shape[0]), links.serving]
+        serve_db = coupling[idx, links.serving]
         gain_serve = gnb_antenna_gain_db(radio.antenna, True)
         signal = _db_to_lin(radio.gnb_tx_dbm + gain_serve + radio.ue_gain_dbi - serve_db)
         interf = _db_to_lin(radio.gnb_tx_dbm + gain_interf + radio.ue_gain_dbi - coupling)
-        return LinkPowers(signal, interf, _noise_lin(band, radio.ue_nf_db))
+        return LinkPowers(signal, interf, _noise_lin(band, radio.ue_nf_db), interf[idx, links.serving])
     eff_serv = ul_effective_coupling_db(links, radio)
     p_tx = _ul_tx_dbm(eff_serv, radio, band)
     interf = _db_to_lin(p_tx[:, None] - (coupling - gain_interf - radio.ue_gain_dbi))
-    return LinkPowers(_db_to_lin(p_tx - eff_serv), interf, _noise_lin(band, radio.gnb_nf_db))
+    signal = _db_to_lin(p_tx - eff_serv)
+    return LinkPowers(signal, interf, _noise_lin(band, radio.gnb_nf_db), interf[idx, links.serving])
+
+
+def _per_cell(activity: Union[float, np.ndarray], n_cells: int) -> np.ndarray:
+    """``activity`` as one value per cell; an array of that shape is used as it is."""
+    act = np.asarray(activity, dtype=float)
+    return act if act.shape == (n_cells,) else np.broadcast_to(act, (n_cells,))
 
 
 def dl_sinr_array(
@@ -319,10 +334,8 @@ def dl_sinr_array(
     """
     if powers is None:
         powers = link_powers(links, radio, band, "DL")
-    rx_interf = powers.interf
-    act = np.broadcast_to(np.asarray(activity, dtype=float), (rx_interf.shape[1],))
-    idx = np.arange(rx_interf.shape[0])
-    interference = rx_interf @ act - rx_interf[idx, links.serving] * act[links.serving]
+    act = _per_cell(activity, powers.interf.shape[1])
+    interference = powers.interf @ act - powers.own_cell * act[links.serving]
     return 10.0 * np.log10(powers.signal / (interference + powers.noise))
 
 
@@ -352,22 +365,18 @@ def ul_sinr_array(
     if powers is None:
         powers = link_powers(links, radio, band, "UL")
     n_ue, n_cells = powers.interf.shape
-    act = np.broadcast_to(np.asarray(activity, dtype=float), (n_cells,))
+    act = _per_cell(activity, n_cells)
     if interferer_weights is None:
         weights = np.ones(n_ue)
     else:
         weights = np.asarray(interferer_weights, dtype=float)
     # normalize weights within each cell so they sum to that cell's activity
-    cell_w = np.zeros(n_cells)
-    np.add.at(cell_w, links.serving, weights)
-    own_cell_w = cell_w[links.serving]
+    own_cell_w = np.bincount(links.serving, weights=weights, minlength=n_cells)[links.serving]
     scale = np.where(own_cell_w > 0, act[links.serving] / np.maximum(own_cell_w, 1e-300), 0.0)
     w = weights * scale
 
-    weighted = powers.interf * w[:, None]
-    total_at_cell = weighted.sum(axis=0)  # (C,)
-    own_cell = np.zeros(n_cells)
-    np.add.at(own_cell, links.serving, weighted[np.arange(n_ue), links.serving])
+    total_at_cell = (powers.interf * w[:, None]).sum(axis=0)  # (C,)
+    own_cell = np.bincount(links.serving, weights=powers.own_cell * w, minlength=n_cells)
     interference = (total_at_cell - own_cell)[links.serving]
     return 10.0 * np.log10(powers.signal / (interference + powers.noise))
 
@@ -408,7 +417,7 @@ def sinr_at_points(
     rep_w = activity / np.bincount(rep_cell)[rep_cell]
     # ul_sinr_array's sum order: the point's own term, then the other cells'
     # representatives in order, then the own term taken off again
-    own = rx[np.arange(n), cell] * activity
+    own = powers.own_cell[:n] * activity
     total = own
     for r in range(len(reps)):
         total = total + np.where(rep_cell[r] != cell, rx[n + r, cell] * rep_w[r], 0.0)

@@ -256,6 +256,59 @@ def das_sinr_oracle(coupling_db, direction: str, radio: dict) -> list[float]:
     return out
 
 
+def median_coupling_oracle(scenario, ue_positions):
+    """(N, G) pathloss with median shadowing (0 dB) and median LOS state, one gNB column at a time.
+
+    The radiolink code before its LOS and pathloss became one (N, G)
+    broadcast, verbatim; it shares the distance, LOS-probability and
+    pathloss formulas with the package and checks only the broadcast.
+    """
+    import numpy as np
+    from nrfactory.errors import NoGnb
+    from nrfactory.propagation import link_distances, los_probability_array, pathloss_array
+
+    if not scenario.gnb_positions:
+        raise NoGnb("scenario defines no gNBs")
+    gnbs = np.asarray(scenario.gnb_positions, dtype=float)
+    d2d, d3d = link_distances(gnbs, ue_positions)
+    out = np.empty_like(d3d)
+    for gi in range(gnbs.shape[0]):
+        p_los = los_probability_array(scenario, d2d[:, gi], bs_height_m=float(gnbs[gi, 2]))
+        out[:, gi] = pathloss_array(
+            scenario.scenario_type, p_los >= 0.5, np.maximum(d3d[:, gi], 1.0), scenario.carrier_ghz
+        )
+    return out
+
+
+def sampled_coupling_oracle(scenario, ue_positions, rng_los, rng_shadow):
+    """(N, G) pathloss + shadowing with per-link LOS/shadow draws, one gNB column at a time.
+
+    Verbatim from before the broadcast, like ``median_coupling_oracle``.
+    """
+    import numpy as np
+    from nrfactory.errors import NoGnb
+    from nrfactory.propagation import link_distances, los_probability_array, pathloss_array, shadow_sigma_db
+
+    if not scenario.gnb_positions:
+        raise NoGnb("scenario defines no gNBs")
+    gnbs = np.asarray(scenario.gnb_positions, dtype=float)
+    d2d, d3d = link_distances(gnbs, ue_positions)
+    n, g = d3d.shape
+    u_los = rng_los.random((n, g))
+    z_shadow = rng_shadow.standard_normal((n, g))
+    out = np.empty((n, g))
+    sigma_los = shadow_sigma_db(scenario.scenario_type, True)
+    sigma_nlos = shadow_sigma_db(scenario.scenario_type, False)
+    for gi in range(g):
+        p_los = los_probability_array(scenario, d2d[:, gi], bs_height_m=float(gnbs[gi, 2]))
+        los = u_los[:, gi] < p_los
+        pl = pathloss_array(
+            scenario.scenario_type, los, np.maximum(d3d[:, gi], 1.0), scenario.carrier_ghz
+        )
+        out[:, gi] = pl + z_shadow[:, gi] * np.where(los, sigma_los, sigma_nlos)
+    return out
+
+
 def search_oracle(feasible, limit: int = 1 << 22) -> int:
     """Largest n with ``feasible(n)``, by probing 1, doubling, then bisecting.
 

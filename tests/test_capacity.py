@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +23,9 @@ from nrfactory.capacity import (
 )
 from nrfactory.errors import DomainError, SolverFailure
 from nrfactory.propagation import FactoryScenario, Hall, drop_ues, gnb_grid
-from nrfactory.radiolink import AasAntenna, BandConfig, DasAntenna, OmniAntenna, RadioConfig, build_links
+from nrfactory.radiolink import (
+    AasAntenna, BandConfig, DasAntenna, LinkPowers, OmniAntenna, RadioConfig, build_links, link_powers,
+)
 from nrfactory.timing import SchedulingConfig, TddPattern
 from nrfactory.usecases import UseCaseSpec, find_use_case
 
@@ -464,6 +467,43 @@ class TestPerDropSearch:
             assert (got.coupling_db == want.coupling_db).all()
             assert (got.serving == want.serving).all()
         assert drop.links(150) is built
+
+    @pytest.mark.parametrize("direction", ["DL", "UL"])
+    @pytest.mark.parametrize("antenna", [OmniAntenna(), AasAntenna(), DasAntenna()], ids=["omni", "aas", "das"])
+    def test_sliced_powers_are_exact(self, antenna, direction):
+        """A drop's powers computed at 150 users give, sliced, ``link_powers`` of its links at n."""
+        sc, b, radio = scenario(3), band("DUDU"), RadioConfig(antenna=antenna)
+        drop = capacity._Drop(sc, radio, 7, 2)
+        built = drop.links(150)
+        # 7 first, so that 150 grows the held powers without a rebuild
+        for n in (7, 150, 0, 1, 7, 100):
+            got, want = drop.powers(n, b, direction), link_powers(drop.links(n), radio, b, direction)
+            for field in dataclasses.fields(LinkPowers):
+                assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+        held = drop.powers(150, b, direction)
+        for n in (1, 7, 100):
+            assert np.shares_memory(drop.powers(n, b, direction).interf, held.interf)
+        assert drop.powers(150, b, direction) is held
+        assert drop.links(150) is built
+
+    def test_each_drop_built_once_for_both_directions(self, monkeypatch):
+        """No drop seed is built again at a size at or below an earlier build of it."""
+        builds = []
+        real = capacity.drop_ues
+
+        def spy(sc, n, seed):
+            builds.append((tuple(seed), n))
+            return real(sc, n, seed)
+
+        monkeypatch.setattr(capacity, "drop_ues", spy)
+        radio = RadioConfig(antenna=AasAntenna(), gnb_nf_db=5.0, ue_nf_db=9.0)
+        result = max_served_users(scenario(3), band("DUDU"), radio, find_use_case("UC1"), n_drops=5, seed=1)
+        assert result.max_users_dl > result.max_users_ul > 0
+        largest = {}
+        for seed, n in builds:
+            assert n > largest.get(seed, -1), (seed, n, largest)
+            largest[seed] = n
+        assert len(largest) == 5
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(

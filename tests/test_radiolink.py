@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nrfactory.errors import DomainError, NoGnb
-from nrfactory.propagation import FactoryScenario, Hall, default_gnb_layout, gnb_grid
+from nrfactory.propagation import Clutter, FactoryScenario, Hall, default_gnb_layout, gnb_grid
 from nrfactory.radiolink import (
     AasAntenna,
     BandConfig,
@@ -33,7 +33,7 @@ from nrfactory.radiolink import (
 )
 from nrfactory import radiolink
 from nrfactory.timing import TddPattern
-from oracles import das_sinr_oracle
+from oracles import das_sinr_oracle, median_coupling_oracle, sampled_coupling_oracle
 
 HALL = Hall(120.0, 50.0, 10.0)
 
@@ -363,6 +363,38 @@ class TestDasOracle:
         heads = radiolink._median_coupling_db(sc, points).tolist()
         want = das_sinr_oracle(heads, direction, das_oracle_radio(radio, band, direction))
         assert_same_sinr(sinr_at_points(points, sc, band, radio, direction, 0.8), want)
+
+
+class TestCouplingBroadcast:
+    """LOS and pathloss of all gNBs in one (N, G) broadcast equal the per-gNB column loop bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        heights=st.lists(st.sampled_from([0.5, 1.5, 2.0, 6.0, 8.0, 9.5]), min_size=1, max_size=12),
+        clutter_height=st.sampled_from([1.0, 1.5, 3.0, 6.0]),
+        scenario_type=st.sampled_from(["InF_DH", "InF_SH"]),
+        n_ues=st.integers(0, 300),
+        seed=st.integers(0, 2**16),
+    )
+    # clutter at or below the 1.5 m UE height: k = inf, so every link is LOS
+    @example(heights=[8.0, 2.0, 9.5], clutter_height=1.0, scenario_type="InF_DH", n_ues=50, seed=1)
+    # gNBs at or below the UE height next to higher ones: height_factor <= 0 takes k = base
+    @example(heights=[0.5, 8.0, 1.5, 6.0], clutter_height=6.0, scenario_type="InF_SH", n_ues=50, seed=2)
+    def test_equals_column_loop(self, heights, clutter_height, scenario_type, n_ues, seed):
+        rng = np.random.default_rng(seed)
+        gnbs = [(float(rng.uniform(0, 120)), float(rng.uniform(0, 50)), h) for h in heights]
+        sc = scenario_with(gnbs, clutter=Clutter(0.6, clutter_height, 2.0), scenario_type=scenario_type)
+        ues = np.column_stack([rng.uniform(0, 120, n_ues), rng.uniform(0, 50, n_ues), np.full(n_ues, 1.5)])
+        pairs = [
+            (radiolink._median_coupling_db(sc, ues), median_coupling_oracle(sc, ues)),
+            (
+                sampled_coupling_db(sc, ues, np.random.default_rng([seed, 1]), np.random.default_rng([seed, 2])),
+                sampled_coupling_oracle(sc, ues, np.random.default_rng([seed, 1]), np.random.default_rng([seed, 2])),
+            ),
+        ]
+        for got, want in pairs:
+            assert got.shape == want.shape == (n_ues, len(heights))
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSinrGrid:
