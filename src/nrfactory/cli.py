@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
+import io
 import json
 import math
 import os
@@ -84,24 +86,23 @@ def _out_path(name: Optional[str]) -> Optional[Path]:
     return path
 
 
-def _emit_json(payload: dict, out: Optional[Path]) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _emit(text: str, out: Optional[Path]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
         out.write_text(text)
 
 
+def _emit_json(payload: dict, out: Optional[Path]) -> None:
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
+
+
 def _emit_csv(header: list[str], rows: list[list], out: Optional[Path]) -> None:
-    if out is None:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    else:
-        with out.open("w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _emit(text.getvalue(), out)
 
 
 def _scenario_from_args(args) -> ScenarioConfig:
@@ -272,9 +273,7 @@ def cmd_sinr_map(args) -> int:
         cfg.scenario, cfg.band, cfg.radio, args.direction,
         resolution_m=args.resolution, activity=args.activity,
     )
-    header = ["x_m", "y_m", "sinr_db"]
-    rows = [[x, y, round(v, 6)] for x, y, v in grid.to_csv_rows()]
-    _emit_csv(header, rows, _out_path(args.output))
+    _emit(grid.csv_text(), _out_path(args.output))
     return 0
 
 
@@ -374,7 +373,9 @@ def cmd_exclusion(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="nrfactory", description=__doc__)
     parser.add_argument(
         "--version",

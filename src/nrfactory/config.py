@@ -14,7 +14,9 @@ loading it again yields identical typed values.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import functools
 import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -216,11 +218,18 @@ def _reported(section: str):
         raise ValidationError(f"section [{section}]: {exc}") from exc
 
 
-def load_preset(name: str) -> dict:
-    if name not in PRESET_NAMES:
-        raise ValidationError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
+@functools.cache
+def _parsed_preset(name: str) -> dict:
     text = resources.files("nrfactory.data.presets").joinpath(f"{name}.yaml").read_text()
     return yaml.safe_load(text)
+
+
+def load_preset(name: str) -> dict:
+    """A shipped preset's sections, a copy the caller may change.  Each file
+    is parsed once per process, so an edit made while it runs is not seen."""
+    if name not in PRESET_NAMES:
+        raise ValidationError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
+    return copy.deepcopy(_parsed_preset(name))
 
 
 def preset_checksum() -> str:

@@ -448,21 +448,24 @@ def ul_sinr(
 
 @dataclass(frozen=True)
 class SinrMap:
-    """SINR heatmap grid at UE height (dB)."""
+    """SINR heatmap grid at UE height (dB), with the point each cell was evaluated at."""
 
     grid: np.ndarray          # (nx, ny)
-    resolution_m: float
+    x_m: np.ndarray           # (nx,)
+    y_m: np.ndarray           # (ny,)
     direction: Direction
 
-    def to_csv_rows(self) -> list[tuple[float, float, float]]:
-        rows = []
-        nx, ny = self.grid.shape
-        for ix in range(nx):
-            for iy in range(ny):
-                x = (ix + 0.5) * self.resolution_m
-                y = (iy + 0.5) * self.resolution_m
-                rows.append((x, y, float(self.grid[ix, iy])))
-        return rows
+    def csv_text(self) -> str:
+        """The map as CSV: a header, then one ``x_m,y_m,sinr_db`` row per cell,
+        x outermost.  Numbers are written as ``repr``, the SINR rounded to 6
+        decimals, as ``csv.writer`` writes Python floats."""
+        ys = [repr(y) for y in self.y_m.tolist()]
+        rows = [
+            f"{x},{y},{round(v, 6)!r}\n"
+            for x, column in zip(map(repr, self.x_m.tolist()), self.grid.tolist())
+            for y, v in zip(ys, column)
+        ]
+        return "x_m,y_m,sinr_db\n" + "".join(rows)
 
 
 def sinr_grid(
@@ -473,7 +476,11 @@ def sinr_grid(
     resolution_m: float = 1.0,
     activity: float = 1.0,
 ) -> SinrMap:
-    """SINR evaluated on a regular grid with median shadowing."""
+    """SINR evaluated on a regular grid with median shadowing.
+
+    Cell centres sit at (i + 0.5) * resolution, clamped to the hall where the
+    resolution does not divide it.
+    """
     if resolution_m <= 0:
         raise DomainError("resolution must be positive")
     nx = math.ceil(scenario.hall.length_m / resolution_m)
@@ -483,4 +490,4 @@ def sinr_grid(
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     points = np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, scenario.ue_height_m)])
     grid = sinr_at_points(points, scenario, band, radio, direction, activity).reshape(nx, ny)
-    return SinrMap(grid=grid, resolution_m=resolution_m, direction=direction)
+    return SinrMap(grid=grid, x_m=xs, y_m=ys, direction=direction)

@@ -382,3 +382,23 @@ def maxmin_lp_oracle(scenario, use_exclusion: bool) -> float:
             rho *= scenario.gamma_norm / worst * (1.0 - 1e-15)
     s = (rho * h_pow).sum(axis=0) / noise
     return math.log2(1.0 + float(np.min(s / (s.sum() - s + 1.0))))
+
+
+def sinr_map_csv_oracle(grid, resolution_m: float) -> str:
+    """The sinr-map CSV as the CLI wrote it before the one-pass writer: rows of
+    unclamped cell centres, the SINR rounded per value, then ``csv.writer``."""
+    import csv
+    import io
+
+    rows = []
+    nx, ny = grid.shape
+    for ix in range(nx):
+        for iy in range(ny):
+            x = (ix + 0.5) * resolution_m
+            y = (iy + 0.5) * resolution_m
+            rows.append((x, y, float(grid[ix, iy])))
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["x_m", "y_m", "sinr_db"])
+    writer.writerows([[x, y, round(v, 6)] for x, y, v in rows])
+    return text.getvalue()

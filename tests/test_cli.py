@@ -1,12 +1,21 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nrfactory import capacity
-from nrfactory.cli import main
+from nrfactory.cli import _scenario_from_args, build_parser, main
+from nrfactory.config import load_scenario
+from nrfactory.radiolink import dl_sinr, sinr_grid, ul_sinr
+from oracles import sinr_map_csv_oracle
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(args, capsys=None):
@@ -144,6 +153,33 @@ class TestSinrMapCommand:
         run(args + ["-o", str(a)])
         run(args + ["-o", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("antenna", ["omni", "das", "aas"])
+    @pytest.mark.parametrize("direction", ["DL", "UL"])
+    def test_bytes_equal_csv_writer(self, tmp_path, antenna, direction):
+        out = tmp_path / "map.csv"
+        argv = ["sinr-map", "--preset", "tdd3800", "--antenna", antenna, "--direction", direction, "--resolution", "1"]
+        assert run(argv + ["-o", str(out)]) == 0
+        cfg = _scenario_from_args(build_parser().parse_args(argv))
+        grid = sinr_grid(cfg.scenario, cfg.band, cfg.radio, direction, resolution_m=1.0)
+        assert out.read_bytes() == sinr_map_csv_oracle(grid.grid, 1.0).encode()
+
+    @pytest.mark.parametrize("direction", ["DL", "UL"])
+    def test_rows_are_the_evaluated_points(self, tmp_path, direction):
+        # 7 m divides neither 120 m nor 50 m: the last cells are clamped to the hall
+        out = tmp_path / "map.csv"
+        argv = ["sinr-map", "--preset", "tdd3800", "--direction", direction, "--resolution", "7"]
+        assert run(argv + ["-o", str(out)]) == 0
+        rows = [[float(v) for v in row] for row in list(csv.reader(out.read_text().splitlines()))[1:]]
+        assert len(rows) == 18 * 8
+        cfg = load_scenario({"band": {"preset": "tdd3800"}})
+        hall = cfg.scenario.hall
+        assert all(0.0 < x <= hall.length_m and 0.0 < y <= hall.width_m for x, y, _ in rows)
+        assert {x for x, _, _ in rows} >= {120.0} and {y for _, y, _ in rows} >= {50.0}
+        point_sinr = dl_sinr if direction == "DL" else ul_sinr
+        for x, y, value in rows[::5] + rows[-8:]:
+            want = point_sinr((x, y, cfg.scenario.ue_height_m), cfg.scenario, cfg.band, cfg.radio)
+            assert abs(value - want) <= 1e-6, (x, y)
 
 
 class TestExclusionCommand:
@@ -335,6 +371,18 @@ class TestTopLevel:
         assert err.value.code == 0
         out = capsys.readouterr().out
         assert "nrfactory" in out and "checksum" in out
+
+    def test_no_state_carries_between_calls(self, tmp_path):
+        bounded, plain, fresh = tmp_path / "bounded.json", tmp_path / "plain.json", tmp_path / "fresh.json"
+        assert run(["latency", "--preset", "tdd3800", "--bound", "5", "-o", str(bounded)]) == 0
+        assert run(["latency", "--preset", "tdd3800", "-o", str(plain)]) == 0
+        assert "bound_ms" in bounded.read_text()
+        assert "bound_ms" not in plain.read_text()
+        script = f"from nrfactory.cli import main; main(['latency', '--preset', 'tdd3800', '-o', {str(fresh)!r}])"
+        subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(SRC)), check=True, timeout=120
+        )
+        assert plain.read_bytes() == fresh.read_bytes()
 
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NRFACTORY_OUTDIR", str(tmp_path))

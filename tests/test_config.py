@@ -79,6 +79,14 @@ class TestPresets:
         with pytest.raises(ValidationError):
             load_preset("tdd9999")
 
+    def test_changing_a_loaded_preset_changes_no_later_load(self):
+        before = load_scenario({"band": {"preset": "tdd3800"}})
+        preset = load_preset("tdd3800")
+        preset["band"]["carrier_ghz"] = 28.0
+        preset["radio"].clear()
+        assert load_preset("tdd3800") != preset
+        assert load_scenario({"band": {"preset": "tdd3800"}}) == before
+
     def test_checksum_stable(self):
         assert preset_checksum() == preset_checksum()
         assert len(preset_checksum()) == 16

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from nrfactory.radiolink import (
     DasAntenna,
     OmniAntenna,
     RadioConfig,
+    SinrMap,
     SnapshotLinks,
     UlPowerControl,
     beamforming_gain,
@@ -33,7 +35,7 @@ from nrfactory.radiolink import (
 )
 from nrfactory import radiolink
 from nrfactory.timing import TddPattern
-from oracles import das_sinr_oracle, median_coupling_oracle, sampled_coupling_oracle
+from oracles import das_sinr_oracle, median_coupling_oracle, sampled_coupling_oracle, sinr_map_csv_oracle
 
 HALL = Hall(120.0, 50.0, 10.0)
 
@@ -433,14 +435,45 @@ class TestSinrGrid:
         band = tdd_band()
         grid = sinr_grid(sc, band, radio, direction, resolution_m=10.0, activity=activity)
         point_sinr = dl_sinr if direction == "DL" else ul_sinr
-        for x, y, value in grid.to_csv_rows():
-            point = (x, y, sc.ue_height_m)
-            assert value == point_sinr(point, sc, band, radio, activity), point
-            assert value == reference_point_sinr(point, sc, band, radio, direction, activity), point
+        for x, column in zip(grid.x_m.tolist(), grid.grid.tolist()):
+            for y, value in zip(grid.y_m.tolist(), column):
+                point = (x, y, sc.ue_height_m)
+                assert value == point_sinr(point, sc, band, radio, activity), point
+                assert value == reference_point_sinr(point, sc, band, radio, direction, activity), point
 
     def test_csv_rows(self):
         sc = scenario_with([(60.0, 25.0, 8.0)])
         grid = sinr_grid(sc, tdd_band(), RadioConfig(), "DL", resolution_m=10.0)
-        rows = grid.to_csv_rows()
-        assert len(rows) == 12 * 5
-        assert rows[0][0] == 5.0 and rows[0][1] == 5.0
+        rows = list(csv.reader(grid.csv_text().splitlines()))
+        assert rows[0] == ["x_m", "y_m", "sinr_db"]
+        assert len(rows) == 1 + 12 * 5
+        assert rows[1][:2] == ["5.0", "5.0"] and rows[-1][:2] == ["115.0", "45.0"]
+
+    def test_axes_clamped_to_the_hall(self):
+        grid = sinr_grid(scenario_with([(60.0, 25.0, 8.0)]), tdd_band(), RadioConfig(), "DL", resolution_m=7.0)
+        assert grid.x_m.tolist() == [3.5 + 7.0 * i for i in range(17)] + [120.0]
+        assert grid.y_m.tolist() == [3.5 + 7.0 * i for i in range(7)] + [50.0]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        resolution=st.floats(1e-6, 1e6),
+        grid=st.integers(1, 8).flatmap(
+            lambda ny: st.lists(
+                st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=ny, max_size=ny),
+                min_size=1, max_size=8,
+            )
+        ),
+    )
+    @example(resolution=1.0, grid=[[-0.0, 5e-5, 1e-7, 1e12], [1e17, math.inf, -math.inf, math.nan]])
+    @example(resolution=3e-5, grid=[[-5e-7], [4.9999995e-7], [1e16], [-1e16 + 2.0]])
+    def test_csv_text_equals_csv_writer(self, resolution, grid):
+        # repr switches to exponent notation below 1e-4 and from 1e16 up
+        values = np.array(grid, dtype=float)
+        nx, ny = values.shape
+        sinr_map = SinrMap(
+            grid=values,
+            x_m=(np.arange(nx) + 0.5) * resolution,
+            y_m=(np.arange(ny) + 0.5) * resolution,
+            direction="DL",
+        )
+        assert sinr_map.csv_text() == sinr_map_csv_oracle(values, resolution)

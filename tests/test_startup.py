@@ -43,6 +43,8 @@ def test_commands_without_an_lp_or_a_pool_leave_them_unloaded(tmp_path):
         ["usecases"],
         ["latency", "--preset", "tdd3800"],
         ["capacity", "--seed", "1", "--drops", "1", "--gnbs", "3"],
+        ["sinr-map", "--resolution", "10"],
+        ["coexist", "--indoor", "DDDDUDDDUU", "--outdoor", "DDDDU"],
     ]
     loaded = loaded_after(commands, DEFERRED + ("numpy.random",), tmp_path)
     assert loaded == {
@@ -50,6 +52,8 @@ def test_commands_without_an_lp_or_a_pool_leave_them_unloaded(tmp_path):
         "usecases": ["numpy.random"],
         "latency": ["numpy.random"],
         "capacity": ["numpy.random"],
+        "sinr-map": ["numpy.random"],
+        "coexist": ["numpy.random"],
     }
 
 
