@@ -17,7 +17,8 @@ is monotone in the user count, and drops are nested (the first n users of
 a larger drop are the drop's n users), so the capacity is the minimum over
 drops of each drop's capacity: the search runs drop by drop, building each
 drop's links and link powers once for both directions, and tests a later
-drop only at the running minimum.
+drop only at the running minimum.  The certificate works on linear SINR,
+and a drop's DL decisions start from the iterates of its earlier ones.
 """
 
 from __future__ import annotations
@@ -41,10 +42,11 @@ from .radiolink import (
     SnapshotLinks,
     build_links,
     cell_count,
-    dl_sinr_array,
+    dl_sinr_linear,
     link_powers,
     sinr_to_se,
-    ul_sinr_array,
+    sinr_to_se_linear,
+    ul_sinr_linear,
 )
 from .timing import AttemptFit, SchedulingConfig, TddPattern, max_attempts_within_bound
 from .usecases import UseCaseSpec, per_attempt_bler_target
@@ -133,9 +135,9 @@ def required_user_resources(
     an array; the result has its shape and is ``inf`` where the spectral
     efficiency is 0.
     """
-    factors = _demand_factors(use_case, attempts)
+    bler, *factors = _demand_factors(use_case, attempts)
     with np.errstate(divide="ignore"):
-        return _demand(sinr_db, *factors)
+        return _demand(sinr_to_se(sinr_db, bler), *factors)
 
 
 def _demand_factors(use_case: UseCaseSpec, attempts: int) -> tuple[float, float, float, float]:
@@ -149,9 +151,9 @@ def _demand_factors(use_case: UseCaseSpec, attempts: int) -> tuple[float, float,
     return bler, 8.0 * use_case.message_size_bytes, expected_transmissions(bler, attempts), messages_per_rb_symbol
 
 
-def _demand(sinr_db, bler: float, bits_per_message: float, transmissions: float, messages_per_rb_symbol: float):
-    """The per-SINR part of ``required_user_resources``; it divides by 0 where the SE is 0."""
-    return bits_per_message / sinr_to_se(sinr_db, bler) * transmissions * messages_per_rb_symbol
+def _demand(se, bits_per_message: float, transmissions: float, messages_per_rb_symbol: float):
+    """The per-SE part of ``required_user_resources``; it divides by 0 where the SE is 0."""
+    return bits_per_message / se * transmissions * messages_per_rb_symbol
 
 
 def link_attempts(
@@ -201,6 +203,25 @@ class CapacityResult:
 _CERTIFICATE_ROUNDS = 200
 
 
+@dataclass
+class _WarmStart:
+    """DL certificate iterates kept from earlier decisions on one drop.
+
+    The DL load map T_n of a drop's first n users grows with n: the same
+    activity gives the same first n rows, and more users only add
+    non-negative demand.  A lower iterate L of a decision at n_f lies below
+    T_n_f's fixed point and has L <= T_n_f(L); at any n >= n_f both still
+    hold for T_n, so iterating T_n from L rises and stays below its fixed
+    point.  Likewise an upper iterate U of a decision at n_i starts a
+    falling sequence above the fixed point at any n <= n_i.  The search
+    keeps L of its latest feasible decision (it asks larger counts next)
+    and U of its latest infeasible one.
+    """
+
+    lower: Optional[tuple[int, np.ndarray]] = None  # (n_f, lower iterate) of the latest feasible decision
+    upper: Optional[tuple[int, np.ndarray]] = None  # (n_i, upper iterate) of the latest infeasible decision
+
+
 def _drop_feasible(
     links: SnapshotLinks,
     band: BandConfig,
@@ -210,6 +231,7 @@ def _drop_feasible(
     attempts: int,
     supply: float,
     powers: Optional[LinkPowers] = None,
+    warm: Optional[_WarmStart] = None,
 ) -> bool:
     """Decide whether one drop's load fits every cell, by a two-sided certificate.
 
@@ -223,65 +245,77 @@ def _drop_feasible(
     state each UE's interferer weight min(demand / supply, 1).  A drop left
     undecided after ``_CERTIFICATE_ROUNDS`` rounds raises SolverFailure.
     ``powers`` is ``link_powers(links, radio, band, direction)``, computed
-    here when not given.
+    here when not given.  ``warm`` (DL only) holds the iterates of earlier
+    decisions on the same drop: the iterates start from them where they
+    are valid bounds at this user count, and the decision leaves its own
+    in it.
     """
-    n_cells = links.n_cells
+    n_users, n_cells = links.coupling_db.shape
     if powers is None:
         powers = link_powers(links, radio, band, direction)
-    factors = _demand_factors(use_case, attempts)
+    bler, *factors = _demand_factors(use_case, attempts)
 
     def step(state: np.ndarray) -> tuple[bool, np.ndarray]:
         if direction == "DL":
-            sinr = dl_sinr_array(links, radio, band, state, powers=powers)
+            sinr = dl_sinr_linear(links, radio, band, state, powers=powers)
         else:
-            # each cell's activity is the sum of its weights, so ul_sinr_array keeps them as given
+            # each cell's activity is the sum of its weights, so ul_sinr_linear keeps them as given
             activity = np.bincount(links.serving, weights=state, minlength=n_cells)
-            sinr = ul_sinr_array(links, radio, band, activity, interferer_weights=state, powers=powers)
-        demand = _demand(sinr, *factors)
+            sinr = ul_sinr_linear(links, radio, band, activity, interferer_weights=state, powers=powers)
+        demand = _demand(sinr_to_se_linear(sinr, bler), *factors)
         util = np.bincount(links.serving, weights=demand, minlength=n_cells) / supply
         fits = bool((util <= 1.0 + 1e-9).all())
         return fits, np.minimum(util if direction == "DL" else demand / supply, 1.0)
 
-    size = n_cells if direction == "DL" else len(links.serving)
-    upper, lower = np.ones(size), np.zeros(size)
+    if warm is None:
+        warm = _WarmStart()
+    elif direction != "DL":
+        raise DomainError("warm starts hold DL iterates only")
+    size = n_cells if direction == "DL" else n_users
+    upper = warm.upper[1] if warm.upper is not None and warm.upper[0] >= n_users else np.ones(size)
+    lower = warm.lower[1] if warm.lower is not None and warm.lower[0] <= n_users else np.zeros(size)
     with np.errstate(divide="ignore"):  # a zero-SE link demands inf
         for _ in range(_CERTIFICATE_ROUNDS):
             fits, upper = step(upper)
             if fits:
+                warm.lower = (n_users, lower)
                 return True
             fits, lower = step(lower)
             if not fits:
+                warm.upper = (n_users, upper)
                 return False
     raise SolverFailure(
-        f"{direction} load of {len(links.serving)} users undecided after {_CERTIFICATE_ROUNDS} certificate rounds"
+        f"{direction} load of {n_users} users undecided after {_CERTIFICATE_ROUNDS} certificate rounds"
     )
 
 
 class _Drop:
-    """One seeded drop, its links built once at the largest user count asked for.
+    """One seeded drop, its links built row by row up to the largest user count asked for.
 
-    Positions (``drop_ues``) and LOS and shadowing (``sampled_coupling_db``)
-    are drawn user-major, so the first n rows of the drop's links at a
-    larger count are its links at n.  A count above the built one rebuilds
-    at max(n, 2 x built).  Link powers are row-wise too: each direction's
-    are computed at the largest count asked for in it since the last build,
-    and sliced below it.
+    Positions, LOS and shadowing come from three generators seeded
+    ``[seed, drop, 0..2]`` and are drawn user-major, so the drop's first n
+    rows do not depend on how many rows it holds.  A count above the held
+    one draws and builds only the rows up to max(n, 2 x held) and appends
+    them.  Link powers are row-wise too: each direction's are computed at
+    the largest count asked for in it, and sliced below it.
     """
 
     def __init__(self, scenario: FactoryScenario, radio: RadioConfig, seed: int, drop: int):
-        self.scenario, self.radio, self.seed, self.drop = scenario, radio, seed, drop
+        self.scenario, self.radio = scenario, radio
+        self._rngs = [np.random.default_rng([seed, drop, stream]) for stream in range(3)]
         self._links: Optional[SnapshotLinks] = None
         self._powers: dict[tuple[BandConfig, Direction], LinkPowers] = {}
 
     def links(self, n_users: int) -> SnapshotLinks:
         built = self._links
-        if built is None or n_users > len(built.serving):
-            size = n_users if built is None else max(n_users, 2 * len(built.serving))
-            self._powers.clear()
-            positions = drop_ues(self.scenario, size, [self.seed, self.drop, 0])
-            rng_los = np.random.default_rng([self.seed, self.drop, 1])
-            rng_shadow = np.random.default_rng([self.seed, self.drop, 2])
-            built = self._links = build_links(self.scenario, self.radio, positions, rng_los, rng_shadow)
+        held = 0 if built is None else len(built.serving)
+        if built is None or n_users > held:
+            rng_positions, rng_los, rng_shadow = self._rngs
+            positions = drop_ues(self.scenario, max(n_users, 2 * held) - held, rng_positions)
+            rows = build_links(self.scenario, self.radio, positions, rng_los, rng_shadow)
+            built = self._links = rows if built is None else SnapshotLinks(
+                np.concatenate([built.coupling_db, rows.coupling_db]), np.concatenate([built.serving, rows.serving])
+            )
         if n_users == len(built.serving):
             return built
         return SnapshotLinks(built.coupling_db[:n_users], built.serving[:n_users])
@@ -394,16 +428,20 @@ def _search_drops(
     (probe 1, double, bisect); each later drop is tested only at the
     running minimum, and bisected below it when that test fails.  One drop
     serves both directions: DL is decided on it first, then UL, then it is
-    discarded.  A direction whose minimum reaches 0 is not searched further.
+    discarded.  Its DL decisions share one ``_WarmStart``.  A direction
+    whose minimum reaches 0 is not searched further.
     """
     caps: dict[Direction, Optional[int]] = dict.fromkeys(setup)
     for index in drops:
         drop = _Drop(scenario, radio, seed, index)
         for direction, (attempts, supply) in setup.items():
+            warm = _WarmStart() if direction == "DL" else None
 
             def ok(n: int) -> bool:
                 powers = drop.powers(n, band, direction)
-                return _drop_feasible(drop.links(n), band, radio, use_case, direction, attempts, supply, powers=powers)
+                return _drop_feasible(
+                    drop.links(n), band, radio, use_case, direction, attempts, supply, powers=powers, warm=warm
+                )
 
             cap = caps[direction]
             if cap is None:

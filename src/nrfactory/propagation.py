@@ -206,13 +206,16 @@ def shadow_sigma_db(scenario_type: ScenarioType, los: bool) -> float:
     return float(_PL_COEFFS["nlos"][scenario_type]["shadow_sigma_db"])
 
 
-def drop_ues(scenario: FactoryScenario, n: int, seed: Union[int, Sequence[int]]) -> np.ndarray:
+def drop_ues(
+    scenario: FactoryScenario, n: int, seed: Union[int, Sequence[int], np.random.Generator]
+) -> np.ndarray:
     """n uniform UE positions at UE height; deterministic for a fixed seed
     (an int or a sequence of ints, as ``np.random.default_rng`` takes).
 
     Draws are consumed user by user, so the first n positions of a larger
     drop with the same seed are identical (nested drops keep load sweeps
-    monotone).
+    monotone).  A Generator as ``seed`` is drawn from where it stands, so
+    successive calls on one continue the same drop.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
@@ -235,10 +238,11 @@ def link_distances(
     dy = ues[:, None, 1] - gnbs[None, :, 1]
     dz = ues[:, None, 2] - gnbs[None, :, 2]
     # in place: one (N, G) buffer each for d2d and d3d, and none besides
-    d2d = np.hypot(dx, dy, out=dx)
-    d3d = np.multiply(d2d, d2d, out=dy)
-    d3d += np.multiply(dz, dz, out=dz)
-    return d2d, np.sqrt(d3d, out=d3d)
+    d2d = np.multiply(dx, dx, out=dx)
+    d2d += np.multiply(dy, dy, out=dy)
+    d3d = np.multiply(dz, dz, out=dy)
+    d3d += d2d
+    return np.sqrt(d2d, out=d2d), np.sqrt(d3d, out=d3d)
 
 
 @dataclass(frozen=True)

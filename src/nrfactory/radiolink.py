@@ -156,14 +156,28 @@ def sinr_to_se(
     The backoff grows by ``backoff_db_per_decade`` for every decade of BLER
     stringency, standing in for the more robust MCS a stricter target
     forces.  ``sinr_db`` is a scalar or an array; the result has its shape.
-    numpy's ``log2`` and ``power`` may differ from the scalar ``math``
-    formula in the last bit or two.
+    This is ``sinr_to_se_linear`` of the SINR in linear units.
+    """
+    return sinr_to_se_linear(_db_to_lin(sinr_db), bler_target, max_se, eta, backoff_db_per_decade)
+
+
+def sinr_to_se_linear(
+    sinr: Union[float, np.ndarray],
+    bler_target: float,
+    max_se: float = 7.4,
+    eta: float = 0.75,
+    backoff_db_per_decade: float = 1.0,
+) -> Union[float, np.ndarray]:
+    """``sinr_to_se`` of a SINR given as a linear power ratio.
+
+    min(max_se, eta * log2(1 + sinr * 10^(-backoff / 10))).  numpy's
+    ``log2`` and ``power`` may differ from the scalar ``math`` formula in
+    the last bit or two.
     """
     if not 0.0 < bler_target < 1.0:
         raise DomainError("bler_target must be in (0, 1)")
-    backoff = -backoff_db_per_decade * math.log10(bler_target)
-    se = eta * np.log2(1.0 + 10.0 ** ((np.asarray(sinr_db, dtype=float) - backoff) / 10.0))
-    return np.minimum(max_se, se)
+    backoff_gain = 10.0 ** (backoff_db_per_decade * math.log10(bler_target) / 10.0)
+    return np.minimum(max_se, eta * np.log2(1.0 + np.asarray(sinr, dtype=float) * backoff_gain))
 
 
 def _pathloss_los(
@@ -208,9 +222,8 @@ def sampled_coupling_db(
     """
     coupling, los = _pathloss_los(scenario, ue_positions, rng_los)
     shadow = rng_shadow.standard_normal(coupling.shape)
-    sigma_los = shadow_sigma_db(scenario.scenario_type, True)
-    sigma_nlos = shadow_sigma_db(scenario.scenario_type, False)
-    shadow *= np.where(los, sigma_los, sigma_nlos)
+    np.multiply(shadow, shadow_sigma_db(scenario.scenario_type, True), out=shadow, where=los)
+    np.multiply(shadow, shadow_sigma_db(scenario.scenario_type, False), out=shadow, where=~los)
     coupling += shadow
     return coupling
 
@@ -332,11 +345,22 @@ def dl_sinr_array(
     ``powers`` is ``link_powers(links, radio, band, "DL")``, computed here
     when not given.
     """
+    return 10.0 * np.log10(dl_sinr_linear(links, radio, band, activity, powers))
+
+
+def dl_sinr_linear(
+    links: SnapshotLinks,
+    radio: RadioConfig,
+    band: BandConfig,
+    activity: Union[float, np.ndarray],
+    powers: Optional[LinkPowers] = None,
+) -> np.ndarray:
+    """``dl_sinr_array`` as a linear power ratio."""
     if powers is None:
         powers = link_powers(links, radio, band, "DL")
     act = _per_cell(activity, powers.interf.shape[1])
     interference = powers.interf @ act - powers.own_cell * act[links.serving]
-    return 10.0 * np.log10(powers.signal / (interference + powers.noise))
+    return powers.signal / (interference + powers.noise)
 
 
 def ul_effective_coupling_db(links: SnapshotLinks, radio: RadioConfig) -> np.ndarray:
@@ -362,6 +386,18 @@ def ul_sinr_array(
     cell's resources (uniform by default).  ``powers`` is
     ``link_powers(links, radio, band, "UL")``, computed here when not given.
     """
+    return 10.0 * np.log10(ul_sinr_linear(links, radio, band, activity, interferer_weights, powers))
+
+
+def ul_sinr_linear(
+    links: SnapshotLinks,
+    radio: RadioConfig,
+    band: BandConfig,
+    activity: Union[float, np.ndarray],
+    interferer_weights: Optional[np.ndarray] = None,
+    powers: Optional[LinkPowers] = None,
+) -> np.ndarray:
+    """``ul_sinr_array`` as a linear power ratio."""
     if powers is None:
         powers = link_powers(links, radio, band, "UL")
     n_ue, n_cells = powers.interf.shape
@@ -378,7 +414,7 @@ def ul_sinr_array(
     total_at_cell = (powers.interf * w[:, None]).sum(axis=0)  # (C,)
     own_cell = np.bincount(links.serving, weights=powers.own_cell * w, minlength=n_cells)
     interference = (total_at_cell - own_cell)[links.serving]
-    return 10.0 * np.log10(powers.signal / (interference + powers.noise))
+    return powers.signal / (interference + powers.noise)
 
 
 def sinr_at_points(

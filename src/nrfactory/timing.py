@@ -19,6 +19,7 @@ timeline (``FDD_DL_PATTERN`` / ``FDD_UL_PATTERN``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from importlib import resources
@@ -337,11 +338,29 @@ def _sr_chain_alignment_symbols(
     preparation inside the chain is the budget's t_ue_tx, so callers must
     not add it again.
     """
-    proc = config.processing_symbols("pusch", scs_khz)
+    return _sr_chain_scan(
+        pattern,
+        config.sr_opportunities_per_slot,
+        config.pdcch_occasions_per_slot,
+        config.tti_symbols,
+        config.processing_symbols("pusch", scs_khz),
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def _sr_chain_scan(
+    pattern: Optional[TddPattern], sr_per_slot: int, pdcch_per_slot: int, tti_symbols: int, proc: float
+) -> float:
+    """``_sr_chain_alignment_symbols`` from the values it reads, cached.
+
+    One latency evaluation asks for the same chain several times (per
+    retransmission count and per bound check); ``SchedulingConfig`` holds
+    a dict, so the cache is keyed on its scalar fields instead.
+    """
     dl, ul = _timeline(pattern, "DL"), _timeline(pattern, "UL")
-    sr_starts = sr_opportunity_starts(ul, config.sr_opportunities_per_slot)
-    pdcch_starts = transmission_starts(dl, "DL", config.pdcch_occasions_per_slot, 1)
-    data_starts = transmission_starts(ul, "UL", config.pdcch_occasions_per_slot, config.tti_symbols)
+    sr_starts = sr_opportunity_starts(ul, sr_per_slot)
+    pdcch_starts = transmission_starts(dl, "DL", pdcch_per_slot, 1)
+    data_starts = transmission_starts(ul, "UL", pdcch_per_slot, tti_symbols)
     if not sr_starts or not pdcch_starts or not data_starts:
         raise NoUsableSlot("pattern cannot carry the SR-based uplink procedure")
     period = ul.period_symbols

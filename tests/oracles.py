@@ -309,6 +309,32 @@ def sampled_coupling_oracle(scenario, ue_positions, rng_los, rng_shadow):
     return out
 
 
+def link_distances_hypot_oracle(gnb_positions, ue_positions):
+    """(N, G) 2D and 3D distances as the package computed them with ``np.hypot``,
+    verbatim: d2d = hypot(dx, dy) and d3d = sqrt(d2d² + dz²)."""
+    import numpy as np
+
+    gnbs = np.asarray(gnb_positions, dtype=float)
+    ues = np.asarray(ue_positions, dtype=float)
+    dx = ues[:, None, 0] - gnbs[None, :, 0]
+    dy = ues[:, None, 1] - gnbs[None, :, 1]
+    dz = ues[:, None, 2] - gnbs[None, :, 2]
+    d2d = np.hypot(dx, dy, out=dx)
+    d3d = np.multiply(d2d, d2d, out=dy)
+    d3d += np.multiply(dz, dz, out=dz)
+    return d2d, np.sqrt(d3d, out=d3d)
+
+
+def sinr_to_se_db_oracle(sinr_db, bler_target, max_se=7.4, eta=0.75, backoff_db_per_decade=1.0):
+    """The package's link adaptation as it was on dB input, verbatim:
+    min(max_se, eta * log2(1 + 10^((sinr_db - backoff) / 10)))."""
+    import numpy as np
+
+    backoff = -backoff_db_per_decade * math.log10(bler_target)
+    se = eta * np.log2(1.0 + 10.0 ** ((np.asarray(sinr_db, dtype=float) - backoff) / 10.0))
+    return np.minimum(max_se, se)
+
+
 def search_oracle(feasible, limit: int = 1 << 22) -> int:
     """Largest n with ``feasible(n)``, by probing 1, doubling, then bisecting.
 

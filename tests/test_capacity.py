@@ -205,17 +205,27 @@ class TestLoadCertificate:
         got = capacity._drop_feasible(links, b, radio, uc, direction, attempts, supply)
         assert got == expected[0]
 
-    @pytest.mark.parametrize("direction, n_users, seed", [("DL", 121, 1), ("DL", 121, 2), ("UL", 14, 3)])
-    def test_iterates_are_monotone(self, monkeypatch, direction, n_users, seed):
-        """Upper iterates never rise and lower iterates never fall."""
+    @pytest.mark.parametrize(
+        "direction, n_users, seed, search",
+        [
+            pytest.param("DL", 121, 1, False, id="DL-121-1"),
+            pytest.param("DL", 121, 2, False, id="DL-121-2"),
+            pytest.param("UL", 14, 3, False, id="UL-14-3"),
+            pytest.param("DL", None, 1, True, id="search-DL-1"),
+            pytest.param("DL", None, 4, True, id="search-DL-4"),
+            pytest.param("UL", None, 3, True, id="search-UL-3"),
+        ],
+    )
+    def test_iterates_are_monotone(self, monkeypatch, direction, n_users, seed, search):
+        """Upper iterates never rise and lower iterates never fall, also warm-started within a search."""
         states, sequences = [], []
         real_feasible = capacity._drop_feasible
-        real_dl, real_ul = capacity.dl_sinr_array, capacity.ul_sinr_array
+        real_dl, real_ul = capacity.dl_sinr_linear, capacity.ul_sinr_linear
 
-        def feasible(*args):
+        def feasible(*args, **kwargs):
             states.clear()
-            result = real_feasible(*args)
-            sequences.append((states[0::2], states[1::2]))
+            result = real_feasible(*args, **kwargs)
+            sequences.append((states[0::2], states[1::2], kwargs.get("warm")))
             return result
 
         def dl(links, radio, b, activity, powers=None):
@@ -227,17 +237,53 @@ class TestLoadCertificate:
             return real_ul(links, radio, b, activity, interferer_weights=interferer_weights, powers=powers)
 
         monkeypatch.setattr(capacity, "_drop_feasible", feasible)
-        monkeypatch.setattr(capacity, "dl_sinr_array", dl)
-        monkeypatch.setattr(capacity, "ul_sinr_array", ul)
+        monkeypatch.setattr(capacity, "dl_sinr_linear", dl)
+        monkeypatch.setattr(capacity, "ul_sinr_linear", ul)
         radio = RadioConfig(gnb_nf_db=5.0, ue_nf_db=9.0)
-        evaluate_load(scenario(3), band("DUDU"), radio, find_use_case("UC1"), n_users, n_drops=3, seed=seed,
-                      directions=(direction,))
+        sc, b, uc = scenario(3), band("DUDU"), find_use_case("UC1")
+        if search:
+            max_served_users(sc, b, radio, uc, n_drops=3, seed=seed)
+            sequences = [(upper, lower) for upper, lower, warm in sequences if (warm is not None) == (direction == "DL")]
+            if direction == "DL":  # warm starts began some decisions away from full and zero load
+                assert any(np.any(upper[0] < 1.0) for upper, _ in sequences)
+                assert any(np.any(lower[0] > 0.0) for _, lower in sequences if lower)
+        else:
+            evaluate_load(sc, b, radio, uc, n_users, n_drops=3, seed=seed, directions=(direction,))
+            sequences = [(upper, lower) for upper, lower, _ in sequences]
         assert max(len(upper) for upper, _ in sequences) >= 3
         for upper, lower in sequences:
             for a, b in zip(upper, upper[1:]):
                 assert np.all(b <= a + 1e-12)
             for a, b in zip(lower, lower[1:]):
                 assert np.all(b >= a - 1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        antenna=st.sampled_from([OmniAntenna(), AasAntenna(), DasAntenna()]),
+        pattern=st.sampled_from(["DUDU", "DDDSU"]),
+        use_case=st.sampled_from(["UC1", "UC7"]),
+        seed=st.integers(0, 2**16),
+        offsets=st.lists(st.integers(-30, 30), min_size=1, max_size=12),
+    )
+    def test_warm_start_decides_as_cold(self, antenna, pattern, use_case, seed, offsets):
+        """Over any sequence of user counts on one drop, a warm-started DL decision equals a cold one.
+
+        The counts lie around the drop's capacity, where a start on the wrong
+        side of the fixed point would flip a decision.
+        """
+        sc, b, uc = scenario(3), band(pattern), find_use_case(use_case)
+        radio = RadioConfig(antenna=antenna, gnb_nf_db=5.0, ue_nf_db=9.0)
+        attempts = link_attempts(b, capacity.default_scheduling(b), "DL", uc.latency_bound_ms).attempts
+        supply = resources_per_second(b, b.tdd_pattern, "DL", ResourceModel.from_band(b))
+        drop, warm = capacity._Drop(sc, radio, seed, 0), capacity._WarmStart()
+
+        def cold(n):
+            return capacity._drop_feasible(drop.links(n), b, radio, uc, "DL", attempts, supply, drop.powers(n, b, "DL"))
+
+        cap = search_oracle(cold)
+        for n in (max(cap + offset, 0) for offset in offsets):
+            links, powers = drop.links(n), drop.powers(n, b, "DL")
+            assert capacity._drop_feasible(links, b, radio, uc, "DL", attempts, supply, powers, warm=warm) == cold(n)
 
     def test_undecided_drop_is_a_solver_failure(self, monkeypatch):
         args = (scenario(3), band("DUDU"), RadioConfig(gnb_nf_db=5.0, ue_nf_db=9.0), find_use_case("UC1"), 111)
@@ -487,23 +533,52 @@ class TestPerDropSearch:
         assert drop.links(150) is built
 
     def test_each_drop_built_once_for_both_directions(self, monkeypatch):
-        """No drop seed is built again at a size at or below an earlier build of it."""
-        builds = []
+        """Each drop's rows are drawn once: every draw continues its drop's position stream where the last stopped."""
+        draws = []
         real = capacity.drop_ues
 
-        def spy(sc, n, seed):
-            builds.append((tuple(seed), n))
-            return real(sc, n, seed)
+        def spy(sc, n, rng):
+            draws.append((rng.bit_generator.state, n))
+            return real(sc, n, rng)
 
         monkeypatch.setattr(capacity, "drop_ues", spy)
         radio = RadioConfig(antenna=AasAntenna(), gnb_nf_db=5.0, ue_nf_db=9.0)
         result = max_served_users(scenario(3), band("DUDU"), radio, find_use_case("UC1"), n_drops=5, seed=1)
         assert result.max_users_dl > result.max_users_ul > 0
-        largest = {}
-        for seed, n in builds:
-            assert n > largest.get(seed, -1), (seed, n, largest)
-            largest[seed] = n
-        assert len(largest) == 5
+        # the stream state each drop's next draw must start from, and the rows drawn so far
+        next_state = {str(np.random.default_rng([1, d, 0]).bit_generator.state): d for d in range(5)}
+        drawn = dict.fromkeys(range(5), 0)
+        for state, n in draws:
+            drop = next_state.pop(str(state))  # a KeyError is a row drawn twice or skipped
+            rng = np.random.default_rng()
+            rng.bit_generator.state = state
+            rng.random((n, 2))
+            next_state[str(rng.bit_generator.state)] = drop
+            drawn[drop] += n
+        assert min(drawn.values()) >= result.max_users_dl
+
+    @pytest.mark.parametrize("antenna", [OmniAntenna(), AasAntenna(), DasAntenna()], ids=["omni", "aas", "das"])
+    @pytest.mark.parametrize(
+        "counts", [[1 << k for k in range(13)], [3, 2, 5, 6, 13, 100, 101, 250, 999, 1000, 1001, 2500]],
+        ids=["doubling", "irregular"],
+    )
+    def test_grown_drop_equals_fresh_build(self, antenna, counts):
+        """A drop grown row block by row block holds, at every size, the links of one fresh build."""
+        sc, radio, seed, index = scenario(12), RadioConfig(antenna=antenna), 7, 2
+
+        def fresh(n):
+            return build_links(
+                sc, radio, drop_ues(sc, n, [seed, index, 0]),
+                np.random.default_rng([seed, index, 1]), np.random.default_rng([seed, index, 2]),
+            )
+
+        drop = capacity._Drop(sc, radio, seed, index)
+        for n in counts:
+            got, held = drop.links(n), drop._links
+            for links, size in ((got, n), (held, len(held.serving))):
+                want = fresh(size)
+                assert links.coupling_db.tobytes() == want.coupling_db.tobytes()
+                assert links.serving.tobytes() == want.serving.tobytes()
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(

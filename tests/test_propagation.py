@@ -13,6 +13,7 @@ from nrfactory.propagation import (
     default_gnb_layout,
     drop_ues,
     gnb_grid,
+    link_distances,
     los_probability,
     multipath_response,
     pathloss,
@@ -20,7 +21,7 @@ from nrfactory.propagation import (
     synthesize_multipath,
 )
 
-from oracles import inf_los_probability_oracle, inf_pathloss_oracle
+from oracles import inf_los_probability_oracle, inf_pathloss_oracle, link_distances_hypot_oracle
 
 
 def make_scenario(**kw) -> FactoryScenario:
@@ -239,3 +240,24 @@ class TestMultipathResponse:
             multipath_response(txs, rxs + [txs[-1]], hall, max_reflections)
         with pytest.raises(DomainError):
             multipath_response(txs, rxs, hall, bad)
+
+
+class TestLinkDistances:
+    """The in-place distances against their ``hypot`` form."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n_gnbs=st.integers(1, 12),
+        n_ues=st.integers(0, 200),
+        scale=st.sampled_from([1e-3, 1.0, 120.0, 1e6]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_distances_within_ulps_of_hypot(self, n_gnbs, n_ues, scale, seed):
+        rng = np.random.default_rng(seed)
+        gnbs = rng.uniform(0.0, scale, (n_gnbs, 3))
+        ues = rng.uniform(0.0, scale, (n_ues, 3))
+        ues[: n_ues // 4, :2] = gnbs[0, :2]  # under a gNB: d2d is 0
+        ues[: n_ues // 8, 2] = gnbs[0, 2]  # at a gNB: d3d is 0 too
+        for got, want in zip(link_distances(gnbs, ues), link_distances_hypot_oracle(gnbs, ues)):
+            assert got.shape == want.shape == (n_ues, n_gnbs)
+            np.testing.assert_array_max_ulp(got, want, maxulp=4)

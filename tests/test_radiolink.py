@@ -27,6 +27,7 @@ from nrfactory.radiolink import (
     sinr_at_points,
     sinr_grid,
     sinr_to_se,
+    sinr_to_se_linear,
     thermal_noise_dbm,
     ul_sinr,
     ul_sinr_array,
@@ -35,7 +36,13 @@ from nrfactory.radiolink import (
 )
 from nrfactory import radiolink
 from nrfactory.timing import TddPattern
-from oracles import das_sinr_oracle, median_coupling_oracle, sampled_coupling_oracle, sinr_map_csv_oracle
+from oracles import (
+    das_sinr_oracle,
+    median_coupling_oracle,
+    sampled_coupling_oracle,
+    sinr_map_csv_oracle,
+    sinr_to_se_db_oracle,
+)
 
 HALL = Hall(120.0, 50.0, 10.0)
 
@@ -205,6 +212,23 @@ class TestSinrToSe:
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 4 * np.spacing(np.maximum(want, 1.0)))
         assert np.all(got <= max_se)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        st.lists(st.floats(-20.0, 80.0), min_size=1, max_size=60),
+        st.floats(1e-9, 1.0, exclude_max=True),
+        st.floats(0.1, 20.0),
+        st.floats(0.0, 1.0),
+    )
+    def test_linear_equals_db_form(self, sinrs, bler, max_se, backoff_db_per_decade):
+        # from -20 dB up and with at most 9 dB backoff, rounding 1 + sinr keeps the SE's relative error below 1e-12
+        sinr_db = np.array(sinrs)
+        want = sinr_to_se_db_oracle(sinr_db, bler, max_se, backoff_db_per_decade=backoff_db_per_decade)
+        for got in (
+            sinr_to_se_linear(10.0 ** (sinr_db / 10.0), bler, max_se, backoff_db_per_decade=backoff_db_per_decade),
+            sinr_to_se(sinr_db, bler, max_se, backoff_db_per_decade=backoff_db_per_decade),
+        ):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 class TestDlSinr:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from nrfactory import timing
 from nrfactory.errors import DomainError, NegativeComponent, NoUsableSlot
 from nrfactory.timing import (
     LatencyBudget,
@@ -207,6 +208,30 @@ class TestAlignmentOracle:
             ) * n.symbol_duration_ms
             assert got == expected, (slots, scs, tti, pdcch, ul_access, direction)
             checked += 1
+
+
+    def test_cached_sr_chain_equals_uncached_scan(self):
+        """The SR chain, looked up twice in the cache, equals a fresh scan of the same values."""
+        timing._sr_chain_scan.cache_clear()
+        cases = itertools.product(
+            ("DDDSU", "DUDU", "DDDDUDDDUU", "DSUUD", "DDDD", None), (15, 30, 60, 120), (2, 4, 7, 14), (1, 2, 7), (1, 3),
+        )
+        for slots, scs, tti, pdcch, sr in cases:
+            pattern = None if slots is None else TddPattern.from_string(slots)
+            cfg = make_config(
+                tti_symbols=tti, pdcch_occasions_per_slot=pdcch, sr_opportunities_per_slot=sr, ul_access="sr_based"
+            )
+            proc = cfg.processing_symbols("pusch", scs)
+            try:
+                want = timing._sr_chain_scan.__wrapped__(pattern, sr, pdcch, tti, proc)
+            except NoUsableSlot:
+                for _ in range(2):
+                    with pytest.raises(NoUsableSlot):
+                        timing._sr_chain_alignment_symbols(pattern, cfg, scs)
+                continue
+            for _ in range(2):
+                assert timing._sr_chain_alignment_symbols(pattern, cfg, scs) == want, (slots, scs, tti, pdcch, sr)
+        assert timing._sr_chain_scan.cache_info().hits > 0
 
 
 class TestOneWayLatency:
